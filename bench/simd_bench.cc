@@ -1,12 +1,10 @@
-// Scalar-vs-SIMD and eager-vs-compiled-tape A/B benches (DESIGN.md §14).
+// Scalar-vs-SIMD A/B benches (DESIGN.md §14).
 //
 // Every case runs twice over identical inputs at one kernel thread:
 // once with the scalar reference backend forced and once on the probed
-// vector backend ("/simd:0" vs "/simd:1"), or once eagerly and once
-// through a CompiledTape replay ("/compiled:0" vs "/compiled:1"). The
-// kernels are bit-identical across backends and the tape replays are
-// bit-identical to eager, so the pairs measure pure speed, never
-// accuracy. After the console output the main pairs the rows and writes
+// vector backend ("/simd:0" vs "/simd:1"). The kernels are bit-identical
+// across backends, so the pairs measure pure speed, never accuracy.
+// After the console output the main pairs the rows and writes
 // tools/bench_snapshot.sh's BENCH_simd.json speedup table (machine info
 // + one entry per pair).
 //
@@ -17,17 +15,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "attack/poison_plan.h"
 #include "bench/bench_util.h"
-#include "core/pds_surrogate.h"
-#include "data/demographics.h"
-#include "data/synthetic.h"
-#include "tensor/compile.h"
-#include "tensor/grad.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "util/json_writer.h"
@@ -255,83 +246,6 @@ void BM_SimdServeScoreRow(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdServeScoreRow)->ArgNames({"simd"})->Arg(0)->Arg(1);
 
-// --- eager-vs-compiled-tape pairs ------------------------------------------
-
-void BM_TapeUnrolledToySgd(benchmark::State& state) {
-  ThreadPool::Global().SetNumThreads(1);
-  const bool compiled = state.range(0) != 0;
-  Rng rng(7);
-  const Tensor theta0 = RandomTensor({256}, &rng);
-  const Tensor target = RandomTensor({256}, &rng);
-  double loss_out = 0.0;
-  std::vector<Tensor> grads;
-  const auto build = [&]() {
-    Variable x = Param(theta0.Clone());
-    Variable h = x;
-    for (int step = 0; step < 8; ++step) {
-      Variable inner = Sum(Square(Sub(h, Constant(target.Clone()))));
-      Variable g = Grad(inner, {h})[0];
-      h = Sub(h, ScalarMul(g, 0.05));
-    }
-    Variable loss = Sum(Square(h));
-    loss_out = loss.value().item();
-    grads = GradValues(loss, {x});
-    return loss;
-  };
-  std::shared_ptr<CompiledTape> tape;
-  if (compiled) tape = CompiledTape::Compile(build);
-  for (auto _ : state) {
-    if (compiled) {
-      tape->Replay(build);
-    } else {
-      build();
-    }
-    benchmark::DoNotOptimize(loss_out);
-  }
-}
-BENCHMARK(BM_TapeUnrolledToySgd)->ArgNames({"compiled"})->Arg(0)->Arg(1);
-
-void BM_TapeUnrolledMfAttack(benchmark::State& state) {
-  // The planning hot loop: PdsSurrogate::CheckpointedGrad over the
-  // unrolled MF inner training (Algorithm 1 steps 6-10), eager vs the
-  // compile-once-replay-many path.
-  ThreadPool::Global().SetNumThreads(1);
-  SyntheticConfig config;
-  config.num_users = 40;
-  config.num_items = 50;
-  config.num_ratings = 320;
-  config.num_social_links = 120;
-  Rng world_rng(55);
-  Dataset world = GenerateSynthetic(config, &world_rng);
-  const Demographics demo = SampleDemographics(world, 1, &world_rng)[0];
-  const std::vector<int64_t> fakes = AddFakeUsers(&world, 2);
-  for (int64_t fake : fakes) {
-    world.ratings.push_back({fake, demo.target_item, 5.0});
-  }
-  const CapacitySet capacity =
-      CapacitySet::MakeComprehensive(world, demo, fakes, 5.0);
-  std::vector<int64_t> users = demo.target_audience;
-  std::vector<int64_t> items(users.size(), demo.target_item);
-
-  PdsConfig pds;
-  pds.embedding_dim = 8;
-  pds.inner_steps = 4;
-  pds.compile_first_order = state.range(0) != 0;
-  Rng rng(22);
-  const PdsSurrogate surrogate(world, {&capacity}, pds, &rng);
-  Variable xhat = Param(Tensor::Full({capacity.size()}, 0.5));
-  const auto readout = [&](const PdsSurrogate::Outcome& outcome) {
-    return Neg(Mean(surrogate.Predict(outcome, users, items)));
-  };
-  // Warm-up call: on the compiled side this is where the tape compiles,
-  // so the timed loop measures the steady-state replay path.
-  surrogate.CheckpointedGrad({xhat}, readout);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(surrogate.CheckpointedGrad({xhat}, readout).loss);
-  }
-}
-BENCHMARK(BM_TapeUnrolledMfAttack)->ArgNames({"compiled"})->Arg(0)->Arg(1);
-
 // --- A/B pairing reporter ---------------------------------------------------
 
 class AbReporter : public benchmark::ConsoleReporter {
@@ -349,9 +263,8 @@ class AbReporter : public benchmark::ConsoleReporter {
   }
 
   /// Pairs "<case>/simd:0" with "<case>/simd:1" (scalar vs probed
-  /// vector backend) and "<case>/compiled:0" with "<case>/compiled:1"
-  /// (eager vs tape replay) and writes the speedup table. Returns the
-  /// number of pairs written.
+  /// vector backend) and writes the speedup table. Returns the number of
+  /// pairs written.
   int WriteTable(const std::string& path) const {
     JsonWriter json;
     json.BeginObject();
@@ -361,33 +274,24 @@ class AbReporter : public benchmark::ConsoleReporter {
     WriteStaticChecksFields(&json, StaticCheckStats::Sample());
     json.Key("cases").BeginArray();
     int pairs = 0;
+    const std::string suffix = "/simd:0";
     for (const auto& [name, baseline_samples] : samples_) {
-      for (const std::string kind : {"simd", "compiled"}) {
-        const std::string suffix = "/" + kind + ":0";
-        if (name.size() < suffix.size() ||
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) != 0) {
-          continue;
-        }
-        const std::string variant_name =
-            name.substr(0, name.size() - 1) + "1";
-        const auto variant = samples_.find(variant_name);
-        if (variant == samples_.end()) continue;
-        const RepStats baseline = RepStats::Of(baseline_samples);
-        const RepStats against = RepStats::Of(variant->second);
-        json.BeginObject();
-        json.Key("name").String(name.substr(0, name.size() - suffix.size()));
-        json.Key("kind").String(kind);
-        json.Key("baseline").String(kind == "simd" ? "scalar" : "eager");
-        json.Key("variant").String(kind == "simd" ? simd::BackendName()
-                                                  : "compiled_tape");
-        WriteRepStatsFields(&json, "t_baseline", baseline);
-        WriteRepStatsFields(&json, "t_variant", against);
-        json.Key("speedup").Double(
-            against.min > 0.0 ? baseline.min / against.min : 0.0);
-        json.EndObject();
-        ++pairs;
-      }
+      if (!name.ends_with(suffix)) continue;
+      const auto variant = samples_.find(name.substr(0, name.size() - 1) + "1");
+      if (variant == samples_.end()) continue;
+      const RepStats baseline = RepStats::Of(baseline_samples);
+      const RepStats against = RepStats::Of(variant->second);
+      json.BeginObject();
+      json.Key("name").String(name.substr(0, name.size() - suffix.size()));
+      json.Key("kind").String("simd");
+      json.Key("baseline").String("scalar");
+      json.Key("variant").String(simd::BackendName());
+      WriteRepStatsFields(&json, "t_baseline", baseline);
+      WriteRepStatsFields(&json, "t_variant", against);
+      json.Key("speedup").Double(
+          against.min > 0.0 ? baseline.min / against.min : 0.0);
+      json.EndObject();
+      ++pairs;
     }
     json.EndArray();
     json.EndObject();

@@ -332,34 +332,17 @@ PdsSurrogate::FirstOrderResult PdsSurrogate::CheckpointedGrad(
     return readout(Forward(theta, social_weights, item_weights));
   };
 
-  FirstOrderResult result;
-  const auto build = [&]() -> Variable {
-    std::vector<Tensor> initial_state;
-    initial_state.reserve(theta_init_.size());
-    for (const Tensor& init : theta_init_) {
-      initial_state.push_back(init.Clone());
-    }
-    CheckpointedGradResult unrolled = CheckpointedUnrollGrad(
-        initial_state, xhats, config_.inner_steps, config_.checkpoint_every,
-        step_fn, loss_fn);
-    result.loss = unrolled.loss.item();
-    result.gradients = std::move(unrolled.input_grads);
-    // Results leave through the capture; no root to harvest.
-    return Variable();
-  };
-  // Every evaluation of the planner's loop builds this same tape (shapes
-  // are fixed by the capacity sets; only x-hat values change), so the
-  // first call compiles its allocation plan and later calls replay it.
-  if (!config_.compile_first_order) {
-    build();
-  } else if (first_order_tape_ == nullptr) {
-    first_order_tape_ = CompiledTape::Compile(build);
-  } else {
-    first_order_tape_->Replay(build);
-    // Replayed gradients live in the tape's slab and would be overwritten
-    // in place by the next evaluation; copy them out for the caller.
-    for (Tensor& gradient : result.gradients) gradient = gradient.Clone();
+  std::vector<Tensor> initial_state;
+  initial_state.reserve(theta_init_.size());
+  for (const Tensor& init : theta_init_) {
+    initial_state.push_back(init.Clone());
   }
+  CheckpointedGradResult unrolled = CheckpointedUnrollGrad(
+      initial_state, xhats, config_.inner_steps, config_.checkpoint_every,
+      step_fn, loss_fn);
+  FirstOrderResult result;
+  result.loss = unrolled.loss.item();
+  result.gradients = std::move(unrolled.input_grads);
   if (!std::isfinite(result.loss)) {
     if (non_finite_inner_events_ == 0) {
       MSOPDS_LOG(Warning)

@@ -7,7 +7,6 @@
 
 #include "attack/capacity.h"
 #include "data/dataset.h"
-#include "tensor/compile.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -34,14 +33,6 @@ struct PdsConfig {
   /// (tensor/remat.h). 0 disables (full tape). Second-order callers
   /// (TrainUnrolled + HVPs) are unaffected — they need the whole graph.
   int checkpoint_every = 0;
-  /// Planning loops call CheckpointedGrad() many times with different
-  /// x-hat *values* but one tape structure (shapes are fixed by the
-  /// capacity sets). The first call compiles the tape's allocation plan
-  /// (tensor/compile.h); later calls replay it, serving every unrolled
-  /// inner-loop temporary from one planned slab. Bit-identical to the
-  /// uncompiled path; a call with a structurally different readout
-  /// gracefully falls back to the arena.
-  bool compile_first_order = true;
 };
 
 /// Progressive Differentiable Surrogate (paper §IV-C).
@@ -161,10 +152,6 @@ class PdsSurrogate {
 
   // Health diagnostic counter (TrainUnrolled is logically const).
   mutable int64_t non_finite_inner_events_ = 0;
-
-  // Compile-once-replay-many plan for CheckpointedGrad (logically const:
-  // caches an allocation layout, never values).
-  mutable std::shared_ptr<CompiledTape> first_order_tape_;
 };
 
 }  // namespace msopds

@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "graph/item_graph_builder.h"
-#include "util/csv.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -19,6 +18,49 @@ int64_t Intern(std::unordered_map<int64_t, int64_t>* table, int64_t raw) {
 
 }  // namespace
 
+Status ParseRatingRow(const DelimitedRow& row, RatingRow* out) {
+  if (row.fields.size() < 3) {
+    return Status::InvalidArgument("ratings row needs 3 fields");
+  }
+  if (!ParseInt64(row.fields[0], &out->user) ||
+      !ParseInt64(row.fields[1], &out->item) ||
+      !ParseDouble(row.fields[2], &out->value)) {
+    return Status::InvalidArgument("malformed ratings row");
+  }
+  if (!(out->value >= kMinRating && out->value <= kMaxRating)) {
+    return Status::OutOfRange(
+        StrFormat("rating %.3f outside [1,5]", out->value));
+  }
+  return Status::Ok();
+}
+
+Status ParseTrustRow(const DelimitedRow& row, TrustRow* out) {
+  if (row.fields.size() < 2) {
+    return Status::InvalidArgument("trust row needs 2 fields");
+  }
+  if (!ParseInt64(row.fields[0], &out->a) ||
+      !ParseInt64(row.fields[1], &out->b)) {
+    return Status::InvalidArgument("malformed trust row");
+  }
+  return Status::Ok();
+}
+
+Status BadRowBudget::Charge(const std::string& path, int64_t line,
+                            int64_t offset, const Status& error) {
+  ++bad_rows_;
+  if (bad_rows_ <= max_bad_rows_) {
+    MSOPDS_LOG(Warning) << path << ":" << line << " (byte " << offset
+                        << "): " << error.message() << " (skipped; bad row "
+                        << bad_rows_ << "/" << max_bad_rows_ << " tolerated)";
+    return Status::Ok();
+  }
+  return Status(error.code(),
+                StrFormat("%s:%lld (byte %lld): %s", path.c_str(),
+                          static_cast<long long>(line),
+                          static_cast<long long>(offset),
+                          error.message().c_str()));
+}
+
 StatusOr<Dataset> LoadTsv(const std::string& ratings_path,
                           const std::string& trust_path,
                           const TsvOptions& options) {
@@ -26,29 +68,7 @@ StatusOr<Dataset> LoadTsv(const std::string& ratings_path,
   // loader's peak memory is the interned tables plus one line — it never
   // materializes a whole file. Errors carry the byte offset of the line
   // alongside path:line so huge inputs can be seeked directly.
-  //
-  // Bad-row tolerance shared across both files: a row that fails to
-  // parse is skipped (with its source location logged) until the budget
-  // runs out; the row that exhausts it fails the whole load.
-  int bad_rows = 0;
-  auto tolerate = [&](const std::string& path, int64_t line, int64_t offset,
-                      const std::string& reason) {
-    ++bad_rows;
-    const bool tolerated = bad_rows <= options.max_bad_rows;
-    if (tolerated) {
-      MSOPDS_LOG(Warning) << path << ":" << line << " (byte " << offset
-                          << "): " << reason << " (skipped; bad row "
-                          << bad_rows << "/" << options.max_bad_rows
-                          << " tolerated)";
-    }
-    return tolerated;
-  };
-  auto located = [](const std::string& path, int64_t line, int64_t offset,
-                    const std::string& reason) {
-    return StrFormat("%s:%lld (byte %lld): %s", path.c_str(),
-                     static_cast<long long>(line),
-                     static_cast<long long>(offset), reason.c_str());
-  };
+  BadRowBudget budget(options.max_bad_rows);
 
   std::unordered_map<int64_t, int64_t> user_ids;
   std::unordered_map<int64_t, int64_t> item_ids;
@@ -59,43 +79,19 @@ StatusOr<Dataset> LoadTsv(const std::string& ratings_path,
   Status scan = ForEachDelimitedRow(
       ratings_path, options.delimiter,
       [&](const DelimitedRow& row, int64_t offset) {
-        if (row.fields.size() < 3) {
-          const std::string reason = "ratings row needs 3 fields";
-          if (tolerate(ratings_path, row.line, offset, reason)) {
-            return Status::Ok();
-          }
-          return Status::InvalidArgument(
-              located(ratings_path, row.line, offset, reason));
+        RatingRow parsed;
+        const Status status = ParseRatingRow(row, &parsed);
+        if (!status.ok()) {
+          return budget.Charge(ratings_path, row.line, offset, status);
         }
-        int64_t raw_user = 0, raw_item = 0;
-        double value = 0.0;
-        if (!ParseInt64(row.fields[0], &raw_user) ||
-            !ParseInt64(row.fields[1], &raw_item) ||
-            !ParseDouble(row.fields[2], &value)) {
-          const std::string reason = "malformed ratings row";
-          if (tolerate(ratings_path, row.line, offset, reason)) {
-            return Status::Ok();
-          }
-          return Status::InvalidArgument(
-              located(ratings_path, row.line, offset, reason));
-        }
-        if (value < kMinRating || value > kMaxRating) {
-          const std::string reason =
-              StrFormat("rating %.3f outside [1,5]", value);
-          if (tolerate(ratings_path, row.line, offset, reason)) {
-            return Status::Ok();
-          }
-          return Status::OutOfRange(
-              located(ratings_path, row.line, offset, reason));
-        }
-        const int64_t user = Intern(&user_ids, raw_user);
-        const int64_t item = Intern(&item_ids, raw_item);
+        const int64_t user = Intern(&user_ids, parsed.user);
+        const int64_t item = Intern(&item_ids, parsed.item);
         const uint64_t key =
             (static_cast<uint64_t>(user) << 32) | static_cast<uint64_t>(item);
-        if (values.emplace(key, value).second) {
+        if (values.emplace(key, parsed.value).second) {
           order.push_back(key);
         } else {
-          values[key] = value;
+          values[key] = parsed.value;
         }
         return Status::Ok();
       });
@@ -115,27 +111,14 @@ StatusOr<Dataset> LoadTsv(const std::string& ratings_path,
   scan = ForEachDelimitedRow(
       trust_path, options.delimiter,
       [&](const DelimitedRow& row, int64_t offset) {
-        if (row.fields.size() < 2) {
-          const std::string reason = "trust row needs 2 fields";
-          if (tolerate(trust_path, row.line, offset, reason)) {
-            return Status::Ok();
-          }
-          return Status::InvalidArgument(
-              located(trust_path, row.line, offset, reason));
-        }
-        int64_t raw_a = 0, raw_b = 0;
-        if (!ParseInt64(row.fields[0], &raw_a) ||
-            !ParseInt64(row.fields[1], &raw_b)) {
-          const std::string reason = "malformed trust row";
-          if (tolerate(trust_path, row.line, offset, reason)) {
-            return Status::Ok();
-          }
-          return Status::InvalidArgument(
-              located(trust_path, row.line, offset, reason));
+        TrustRow parsed;
+        const Status status = ParseTrustRow(row, &parsed);
+        if (!status.ok()) {
+          return budget.Charge(trust_path, row.line, offset, status);
         }
         // Only keep links between users that appear in the rating records.
-        auto ia = user_ids.find(raw_a);
-        auto ib = user_ids.find(raw_b);
+        auto ia = user_ids.find(parsed.a);
+        auto ib = user_ids.find(parsed.b);
         if (ia != user_ids.end() && ib != user_ids.end()) {
           dataset.social.AddEdge(ia->second, ib->second);
         }

@@ -1,9 +1,11 @@
 #ifndef MSOPDS_DATA_TSV_LOADER_H_
 #define MSOPDS_DATA_TSV_LOADER_H_
 
+#include <cstdint>
 #include <string>
 
 #include "data/dataset.h"
+#include "util/csv.h"
 #include "util/status.h"
 
 namespace msopds {
@@ -38,6 +40,53 @@ StatusOr<Dataset> LoadTsv(const std::string& ratings_path,
 StatusOr<Dataset> LoadTsv(const std::string& ratings_path,
                           const std::string& trust_path, char delimiter = '\t',
                           const std::string& name = "tsv");
+
+// --- Row grammar -----------------------------------------------------------
+//
+// LoadTsv and scale::IngestTsvToShards accept exactly the same inputs and
+// report the same Status for every bad row, because both parse through
+// these functions and charge failures to one BadRowBudget.
+
+/// A ratings row "user item rating" with raw (not yet interned) ids.
+struct RatingRow {
+  int64_t user = 0;
+  int64_t item = 0;
+  double value = 0.0;
+};
+
+/// A trust row "user user" with raw ids.
+struct TrustRow {
+  int64_t a = 0;
+  int64_t b = 0;
+};
+
+/// Parses one ratings row. A short or unparsable row is InvalidArgument;
+/// a rating outside [1, 5] (NaN included) is OutOfRange. The message is
+/// the bare reason; BadRowBudget::Charge adds the source location.
+Status ParseRatingRow(const DelimitedRow& row, RatingRow* out);
+
+/// Parses one trust row. A short or unparsable row is InvalidArgument.
+Status ParseTrustRow(const DelimitedRow& row, TrustRow* out);
+
+/// Bad-row tolerance shared across both files of one load.
+class BadRowBudget {
+ public:
+  explicit BadRowBudget(int max_bad_rows) : max_bad_rows_(max_bad_rows) {}
+
+  /// Charges one failed row (`error`, from a Parse*Row call on line
+  /// `line` of `path`, starting `offset` bytes in). While the budget
+  /// lasts the row is logged with its location and Ok is returned, so
+  /// the caller skips it; the row that exhausts the budget returns
+  /// `error`'s code with the message "path:line (byte offset): reason".
+  Status Charge(const std::string& path, int64_t line, int64_t offset,
+                const Status& error);
+
+  int bad_rows() const { return bad_rows_; }
+
+ private:
+  int max_bad_rows_;
+  int bad_rows_ = 0;
+};
 
 /// Writes a dataset back to the same two-file format (for round-trips and
 /// for exporting synthetic datasets).

@@ -1,16 +1,13 @@
 #include "recsys/trainer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 
-#include "tensor/compile.h"
 #include "tensor/grad.h"
 #include "tensor/optim.h"
 #include "util/arena.h"
 #include "util/fault.h"
 #include "util/logging.h"
-#include "util/rng.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -31,7 +28,6 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
                        const TrainOptions& options) {
   MSOPDS_CHECK(model != nullptr);
   MSOPDS_CHECK_GT(options.epochs, 0);
-  MSOPDS_CHECK_GE(options.batch_size, 0);
   MSOPDS_CHECK_GE(options.max_retries, 0);
   MSOPDS_CHECK_GT(options.retry_decay, 0.0);
   MSOPDS_CHECK_GE(options.num_threads, 0);
@@ -46,9 +42,6 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
   double learning_rate = options.learning_rate;
   std::unique_ptr<Optimizer> optimizer = MakeOptimizer(options, learning_rate);
 
-  Rng shuffle_rng(options.shuffle_seed);
-  std::vector<Rating> shuffled = ratings;
-
   std::vector<Variable>* params = model->MutableParams();
   FaultInjector& faults = FaultInjector::Global();
   DivergenceDetector detector(options.divergence);
@@ -56,23 +49,6 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
 
   TrainResult result;
   result.loss_history.reserve(static_cast<size_t>(options.epochs));
-
-  // Full-batch epochs all build the same tape; compile it on the first
-  // epoch and replay the planned slab afterwards. The epoch-0 compile IS
-  // the epoch-0 eager run (its captured outputs are used directly), and
-  // replays are bit-identical to eager epochs, so the flag changes no
-  // numbers. Health rollbacks and retries replay the same tape; if a
-  // replay ever diverges from the recorded allocation sequence it falls
-  // back to the arena for that run (CompiledTape contract).
-  std::shared_ptr<CompiledTape> tape;
-  double step_loss = 0.0;
-  std::vector<Tensor> step_grads;
-  auto build_step = [&]() -> Variable {
-    Variable loss = model->TrainingLoss(ratings);
-    step_loss = loss.value().item();
-    step_grads = GradValues(loss, *params);
-    return loss;
-  };
 
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     // Pre-epoch snapshot so an unhealthy epoch can be rolled back; a NaN
@@ -86,50 +62,15 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
     }
 
     Health health = Health::kHealthy;
-    double epoch_loss = 0.0;
-    if (options.batch_size == 0 ||
-        options.batch_size >= static_cast<int>(ratings.size())) {
-      if (!options.compile_tape) {
-        Variable root = build_step();
-      } else if (tape == nullptr) {
-        tape = CompiledTape::Compile(build_step);
-      } else {
-        tape->Replay(build_step);
-      }
-      epoch_loss = step_loss;
-      // The gradient tensors live in the tape's slab when replayed; the
-      // fault hook and optimizer only read them (or mutate in place)
-      // before the next replay overwrites them, so no copy is needed.
-      faults.MaybeCorruptTrainerGradients(&step_grads);
-      if (options.guard_numerics &&
-          (!std::isfinite(epoch_loss) || !AllFinite(step_grads))) {
-        health = Health::kNonFinite;
-      } else {
-        optimizer->Step(params, step_grads);
-      }
+    Variable loss = model->TrainingLoss(ratings);
+    const double epoch_loss = loss.value().item();
+    std::vector<Tensor> grads = GradValues(loss, *params);
+    faults.MaybeCorruptTrainerGradients(&grads);
+    if (options.guard_numerics &&
+        (!std::isfinite(epoch_loss) || !AllFinite(grads))) {
+      health = Health::kNonFinite;
     } else {
-      shuffle_rng.Shuffle(&shuffled);
-      int batches = 0;
-      for (size_t start = 0; start < shuffled.size();
-           start += static_cast<size_t>(options.batch_size)) {
-        const size_t end = std::min(
-            shuffled.size(), start + static_cast<size_t>(options.batch_size));
-        const std::vector<Rating> batch(shuffled.begin() + start,
-                                        shuffled.begin() + end);
-        Variable loss = model->TrainingLoss(batch);
-        const double batch_loss = loss.value().item();
-        epoch_loss += batch_loss;
-        ++batches;
-        std::vector<Tensor> grads = GradValues(loss, *params);
-        faults.MaybeCorruptTrainerGradients(&grads);
-        if (options.guard_numerics &&
-            (!std::isfinite(batch_loss) || !AllFinite(grads))) {
-          health = Health::kNonFinite;
-          break;
-        }
-        optimizer->Step(params, grads);
-      }
-      epoch_loss /= std::max(1, batches);
+      optimizer->Step(params, grads);
     }
     if (options.guard_numerics && health == Health::kHealthy) {
       health = detector.Observe(epoch_loss);

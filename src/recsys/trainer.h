@@ -18,12 +18,6 @@ struct TrainOptions {
   double learning_rate = 0.05;
   OptimizerKind optimizer = OptimizerKind::kAdam;
   double momentum = 0.9;  // only for kSgd
-  /// Mini-batch size; 0 trains full-batch (the default — the victim
-  /// models here are small enough that full-batch is both faster and
-  /// deterministic). Batches are re-shuffled each epoch from
-  /// `shuffle_seed`.
-  int batch_size = 0;
-  uint64_t shuffle_seed = 1;
   /// Log loss every `log_every` epochs (0 = silent).
   int log_every = 0;
   /// Kernel thread count for this run: > 0 resizes the global ThreadPool
@@ -31,14 +25,6 @@ struct TrainOptions {
   /// untouched. Results are bit-identical at any setting — the parallel
   /// runtime's determinism contract (DESIGN.md "Parallel runtime").
   int num_threads = 0;
-  /// Full-batch runs rebuild the same loss+backward tape every epoch, so
-  /// epoch 0 compiles it (tensor/compile.h): the allocation timeline is
-  /// recorded and every temporary gets a planned slab offset; later
-  /// epochs replay the plan with zero arena traffic. Bit-identical to
-  /// the eager path — the plan changes where buffers live, never what is
-  /// computed (DESIGN.md §14). Ignored for mini-batch runs (the last
-  /// partial batch changes the tape shape every epoch).
-  bool compile_tape = true;
 
   // --- Resilience (numerical-health guard + retry policy) ---
   /// Scan every epoch's loss and gradients for NaN/inf and watch the

@@ -90,11 +90,6 @@ StatusOr<OutOfCoreResult> TrainMfOutOfCore(
   if (options.epochs <= 0) {
     return Status::InvalidArgument("epochs must be positive");
   }
-  if (options.batch_size != 0) {
-    return Status::InvalidArgument(
-        "out-of-core training is full-batch only (batch_size must be 0); "
-        "mini-batch shuffling permutes ratings across shards");
-  }
   if (options.max_retries < 0 || options.retry_decay <= 0.0 ||
       options.num_threads < 0) {
     return Status::InvalidArgument("invalid retry/thread options");

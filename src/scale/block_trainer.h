@@ -43,8 +43,6 @@ struct OutOfCoreResult {
 ///    the scalar loss — and with it the divergence detector, the retry
 ///    trace, and fault-injection behavior — matches to the last bit.
 ///
-/// Only full-batch runs are supported (options.batch_size must be 0;
-/// mini-batch shuffling is a cross-shard permutation by design).
 /// `resident` keeps every shard mapped for the whole run (the in-memory
 /// comparison arm of BENCH_scale); the default re-maps one shard at a
 /// time, bounding peak RSS by the largest shard.

@@ -6,10 +6,10 @@
 #include <unordered_map>
 
 #include "data/dataset.h"
+#include "data/tsv_loader.h"
 #include "graph/item_graph_builder.h"
 #include "scale/sharded_dataset.h"
 #include "util/csv.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace msopds {
@@ -118,64 +118,23 @@ StatusOr<IngestStats> IngestTsvToShards(const std::string& ratings_path,
   }
 
   IngestStats stats;
-  // Bad-row tolerance shared across both files, mirroring LoadTsv.
-  int bad_rows = 0;
-  auto tolerate = [&](const std::string& path, int64_t line, int64_t offset,
-                      const std::string& reason) {
-    ++bad_rows;
-    const bool tolerated = bad_rows <= options.max_bad_rows;
-    if (tolerated) {
-      MSOPDS_LOG(Warning) << path << ":" << line << " (byte " << offset
-                          << "): " << reason << " (skipped; bad row "
-                          << bad_rows << "/" << options.max_bad_rows
-                          << " tolerated)";
-    }
-    return tolerated;
-  };
-  auto located = [](const std::string& path, int64_t line, int64_t offset,
-                    const std::string& reason) {
-    return StrFormat("%s:%lld (byte %lld): %s", path.c_str(),
-                     static_cast<long long>(line),
-                     static_cast<long long>(offset), reason.c_str());
-  };
+  // The loader's row grammar and bad-row budget (data/tsv_loader.h), so
+  // both entry points accept and reject exactly the same rows.
+  BadRowBudget budget(options.max_bad_rows);
 
   // ---- Pass 1: stream ratings, intern ids, validate. ------------------
   std::unordered_map<int64_t, int64_t> user_ids;
   std::unordered_map<int64_t, int64_t> item_ids;
-  auto parse_rating = [&](const DelimitedRow& row, int64_t* raw_user,
-                          int64_t* raw_item, double* value,
-                          std::string* reason) {
-    if (row.fields.size() < 3) {
-      *reason = "ratings row needs 3 fields";
-      return false;
-    }
-    if (!ParseInt64(row.fields[0], raw_user) ||
-        !ParseInt64(row.fields[1], raw_item) ||
-        !ParseDouble(row.fields[2], value)) {
-      *reason = "malformed ratings row";
-      return false;
-    }
-    if (*value < kMinRating || *value > kMaxRating) {
-      *reason = StrFormat("rating %.3f outside [1,5]", *value);
-      return false;
-    }
-    return true;
-  };
   Status scan = ForEachDelimitedRow(
       ratings_path, options.delimiter,
       [&](const DelimitedRow& row, int64_t offset) {
-        int64_t raw_user = 0, raw_item = 0;
-        double value = 0.0;
-        std::string reason;
-        if (!parse_rating(row, &raw_user, &raw_item, &value, &reason)) {
-          if (tolerate(ratings_path, row.line, offset, reason)) {
-            return Status::Ok();
-          }
-          return Status::InvalidArgument(
-              located(ratings_path, row.line, offset, reason));
+        RatingRow parsed;
+        const Status status = ParseRatingRow(row, &parsed);
+        if (!status.ok()) {
+          return budget.Charge(ratings_path, row.line, offset, status);
         }
-        user_ids.emplace(raw_user, static_cast<int64_t>(user_ids.size()));
-        item_ids.emplace(raw_item, static_cast<int64_t>(item_ids.size()));
+        user_ids.emplace(parsed.user, static_cast<int64_t>(user_ids.size()));
+        item_ids.emplace(parsed.item, static_cast<int64_t>(item_ids.size()));
         ++stats.rating_rows;
         return Status::Ok();
       });
@@ -206,29 +165,16 @@ StatusOr<IngestStats> IngestTsvToShards(const std::string& ratings_path,
   scan = ForEachDelimitedRow(
       trust_path, options.delimiter,
       [&](const DelimitedRow& row, int64_t offset) {
-        if (row.fields.size() < 2) {
-          const std::string reason = "trust row needs 2 fields";
-          if (tolerate(trust_path, row.line, offset, reason)) {
-            return Status::Ok();
-          }
-          return Status::InvalidArgument(
-              located(trust_path, row.line, offset, reason));
-        }
-        int64_t raw_a = 0, raw_b = 0;
-        if (!ParseInt64(row.fields[0], &raw_a) ||
-            !ParseInt64(row.fields[1], &raw_b)) {
-          const std::string reason = "malformed trust row";
-          if (tolerate(trust_path, row.line, offset, reason)) {
-            return Status::Ok();
-          }
-          return Status::InvalidArgument(
-              located(trust_path, row.line, offset, reason));
+        TrustRow parsed;
+        const Status status = ParseTrustRow(row, &parsed);
+        if (!status.ok()) {
+          return budget.Charge(trust_path, row.line, offset, status);
         }
         ++stats.trust_rows;
         // Only links between users in the rating records; self-loops are
         // no-ops, exactly as UndirectedGraph::AddEdge treats them.
-        auto ia = user_ids.find(raw_a);
-        auto ib = user_ids.find(raw_b);
+        auto ia = user_ids.find(parsed.a);
+        auto ib = user_ids.find(parsed.b);
         if (ia == user_ids.end() || ib == user_ids.end() ||
             ia->second == ib->second) {
           return Status::Ok();
@@ -255,15 +201,14 @@ StatusOr<IngestStats> IngestTsvToShards(const std::string& ratings_path,
   scan = ForEachDelimitedRow(
       ratings_path, options.delimiter,
       [&](const DelimitedRow& row, int64_t /*offset*/) {
-        int64_t raw_user = 0, raw_item = 0;
-        double value = 0.0;
-        std::string reason;
-        if (!parse_rating(row, &raw_user, &raw_item, &value, &reason)) {
+        RatingRow parsed;
+        if (!ParseRatingRow(row, &parsed).ok()) {
           // Pass 1 already charged the tolerance budget for this row.
           return Status::Ok();
         }
-        const RatingSpill record{user_ids.at(raw_user), item_ids.at(raw_item),
-                                 value, rating_ord};
+        const RatingSpill record{user_ids.at(parsed.user),
+                                 item_ids.at(parsed.item), parsed.value,
+                                 rating_ord};
         ++rating_ord;
         spill(&rating_spills[static_cast<size_t>(
                   OwnerShard(record.user, num_users, num_shards))],
@@ -398,7 +343,7 @@ StatusOr<IngestStats> IngestTsvToShards(const std::string& ratings_path,
   stats.num_users = num_users;
   stats.num_items = num_items;
   stats.num_ratings = total_ratings;
-  stats.bad_rows = bad_rows;
+  stats.bad_rows = budget.bad_rows();
   stats.social_edges /= 2;  // each undirected edge was counted per endpoint
   return stats;
 }

@@ -6,58 +6,17 @@
 #include "util/logging.h"
 
 namespace msopds {
-namespace {
-
-// The installed hook and its installation epoch are both thread-local: a
-// storage created under installation N calls OnDestroy only if the thread
-// destroying it still has installation N current. A buffer escaping its
-// recording scope (or dying on another thread) therefore just misses its
-// free event — the compiler keeps it live to the end of the tape, which
-// over-allocates but never aliases.
-thread_local TensorStorage::AllocHook* t_alloc_hook = nullptr;
-thread_local uint64_t t_alloc_hook_epoch = 0;
-
-}  // namespace
-
-TensorStorage::AllocHook* TensorStorage::SetThreadAllocHook(AllocHook* hook) {
-  AllocHook* previous = t_alloc_hook;
-  t_alloc_hook = hook;
-  ++t_alloc_hook_epoch;
-  return previous;
-}
 
 std::shared_ptr<TensorStorage> TensorStorage::Create(int64_t size,
                                                      bool zero) {
   MSOPDS_CHECK_GE(size, 0);
-  double* data = nullptr;
-  int64_t slot = -1;
-  std::shared_ptr<void> keepalive;
-  if (t_alloc_hook != nullptr) {
-    data = t_alloc_hook->OnCreate(size, &slot, &keepalive);
-  }
-  const bool planned = data != nullptr;
-  if (!planned) data = Arena::Global().Allocate(size);
+  double* data = Arena::Global().Allocate(size);
   if (zero && size > 0) {
     std::memset(data, 0, static_cast<size_t>(size) * sizeof(double));
   }
-  auto storage = std::shared_ptr<TensorStorage>(new TensorStorage(data, size));
-  if (planned) {
-    storage->keepalive_ = std::move(keepalive);
-  } else if (slot >= 0) {
-    storage->hook_slot_ = slot;
-    storage->hook_epoch_ = t_alloc_hook_epoch;
-  }
-  return storage;
+  return std::shared_ptr<TensorStorage>(new TensorStorage(data, size));
 }
 
-TensorStorage::~TensorStorage() {
-  if (hook_slot_ >= 0 && t_alloc_hook != nullptr &&
-      t_alloc_hook_epoch == hook_epoch_) {
-    t_alloc_hook->OnDestroy(hook_slot_);
-  }
-  if (keepalive_ == nullptr) {
-    Arena::Global().Deallocate(data_, size_);
-  }
-}
+TensorStorage::~TensorStorage() { Arena::Global().Deallocate(data_, size_); }
 
 }  // namespace msopds

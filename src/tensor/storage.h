@@ -19,34 +19,6 @@ namespace msopds {
 /// detection.
 class TensorStorage {
  public:
-  /// Thread-local allocation interception used by the tape compiler
-  /// (tensor/compile.h). While a hook is installed on a thread, every
-  /// Create() on that thread consults it first:
-  ///
-  ///  * recording: OnCreate returns nullptr and assigns `*slot` (>= 0);
-  ///    the buffer is drawn from the arena as usual, and the slot id is
-  ///    reported back to OnDestroy when this storage dies — while the
-  ///    same hook installation is still current on this thread. Frees
-  ///    observed after the hook is gone are simply unrecorded (the
-  ///    compiler treats those buffers as live to the end of the tape,
-  ///    which is conservative and safe).
-  ///
-  ///  * planned replay: OnCreate returns a pointer into pre-planned
-  ///    memory and sets `*keepalive` to whatever owns it; the storage
-  ///    then never touches the arena (the keepalive reference keeps the
-  ///    plan's slab alive for as long as any replayed tensor aliases it).
-  class AllocHook {
-   public:
-    virtual ~AllocHook() = default;
-    virtual double* OnCreate(int64_t size, int64_t* slot,
-                             std::shared_ptr<void>* keepalive) = 0;
-    virtual void OnDestroy(int64_t slot) = 0;
-  };
-
-  /// Installs `hook` for the calling thread (nullptr uninstalls) and
-  /// returns the previously installed hook.
-  static AllocHook* SetThreadAllocHook(AllocHook* hook);
-
   /// A buffer of `size` doubles; zero-filled when `zero` is set (the
   /// Tensor(shape) contract), uninitialized otherwise (for callers that
   /// overwrite every element, e.g. FromVector).
@@ -70,13 +42,6 @@ class TensorStorage {
   double* data_ = nullptr;
   int64_t size_ = 0;
   uint64_t generation_ = 1;
-  // Planned-replay buffers: owns a reference to the plan's slab instead
-  // of an arena block. Null for ordinary arena-backed storage.
-  std::shared_ptr<void> keepalive_;
-  // Recording bookkeeping: the hook slot to report to OnDestroy, valid
-  // only while the installation stamped in hook_epoch_ is still current.
-  int64_t hook_slot_ = -1;
-  uint64_t hook_epoch_ = 0;
 };
 
 }  // namespace msopds

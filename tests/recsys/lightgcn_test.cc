@@ -92,16 +92,5 @@ TEST(LightGcnTest, HeldOutRmseIsReasonable) {
   EXPECT_LT(Rmse(&model, split.test), 1.8);
 }
 
-TEST(LightGcnTest, MiniBatchTrainingConverges) {
-  const Dataset world = GcnWorld();
-  Rng rng(8);
-  LightGcn model(world, LightGcnConfig{}, &rng);
-  TrainOptions options;
-  options.epochs = 15;
-  options.batch_size = 128;
-  const TrainResult result = TrainModel(&model, world.ratings, options);
-  EXPECT_LT(result.final_loss, result.loss_history.front());
-}
-
 }  // namespace
 }  // namespace msopds

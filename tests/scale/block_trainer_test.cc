@@ -144,20 +144,6 @@ TEST(BlockTrainerTest, ReportsShardTraffic) {
   EXPECT_GT(result.value().peak_shard_bytes, 0);
 }
 
-TEST(BlockTrainerTest, RejectsMiniBatchOptions) {
-  const Dataset dataset = TrainingDataset();
-  const std::string dir = FreshDir("ooc_minibatch");
-  auto paths = WriteShards(dataset, dir, 2);
-  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
-  MatrixFactorization model = FreshModel(dataset);
-  TrainOptions options;
-  options.epochs = 2;
-  options.batch_size = 8;  // mini-batch shuffles across shard cuts
-  auto result = TrainMfOutOfCore(&model, paths.value(), options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(BlockTrainerTest, RejectsModelShapeMismatch) {
   const Dataset dataset = TrainingDataset();
   const std::string dir = FreshDir("ooc_shape");

@@ -138,25 +138,53 @@ TEST(IngestTest, MatchesLoadTsvUnderBadRowTolerance) {
 }
 
 TEST(IngestTest, StrictModeReportsFileLineAndByteOffset) {
-  const std::string dir = FreshDir("ingest_strict");
-  TsvFixture fixture;
-  fixture.ratings_path = dir + "/ratings.tsv";
-  fixture.trust_path = dir + "/trust.tsv";
-  WriteFile(fixture.ratings_path,
-            "10\t500\t4\n"
-            "garbage row\n");
-  WriteFile(fixture.trust_path, "");
+  // One row of every bad kind, each on line 2 of its file behind a
+  // 9-byte valid line. LoadTsv and the ingester share one row grammar,
+  // so they must fail with the same code and the same message, and the
+  // message must let an operator seek straight to the offending bytes:
+  // "path:line (byte N): reason".
+  struct BadRow {
+    const char* kind;
+    const char* ratings;
+    const char* trust;
+    StatusCode code;
+    const char* reason;
+  };
+  const BadRow kBadRows[] = {
+      {"short_ratings_row", "10\t500\t4\n10\t501\n", "",
+       StatusCode::kInvalidArgument, "ratings row needs 3 fields"},
+      {"malformed_ratings_row", "10\t500\t4\ngarbage\trow\tx\n", "",
+       StatusCode::kInvalidArgument, "malformed ratings row"},
+      {"out_of_range_rating", "10\t500\t4\n10\t501\t7\n", "",
+       StatusCode::kOutOfRange, "rating 7.000 outside [1,5]"},
+      {"nan_rating", "10\t500\t4\n10\t501\tnan\n", "",
+       StatusCode::kOutOfRange, "rating nan outside [1,5]"},
+      {"short_trust_row", "10\t500\t4\n", "10\t10000\n11\n",
+       StatusCode::kInvalidArgument, "trust row needs 2 fields"},
+      {"malformed_trust_row", "10\t500\t4\n", "10\t10000\n10\tx\n",
+       StatusCode::kInvalidArgument, "malformed trust row"},
+  };
+  for (const BadRow& bad : kBadRows) {
+    SCOPED_TRACE(bad.kind);
+    const std::string dir = FreshDir(std::string("ingest_strict_") + bad.kind);
+    const std::string ratings_path = dir + "/ratings.tsv";
+    const std::string trust_path = dir + "/trust.tsv";
+    WriteFile(ratings_path, bad.ratings);
+    WriteFile(trust_path, bad.trust);
+    const std::string bad_path = *bad.trust == '\0' ? ratings_path : trust_path;
 
-  IngestOptions options;  // max_bad_rows = 0: strict
-  auto stats = IngestTsvToShards(fixture.ratings_path, fixture.trust_path,
-                                 dir + "/shards", options);
-  ASSERT_FALSE(stats.ok());
-  const std::string message(stats.status().message());
-  // The operator must be able to seek straight to the offending bytes:
-  // "path:line (byte N): reason". Line 1 is "10\t500\t4\n" = 9 bytes.
-  EXPECT_NE(message.find(fixture.ratings_path + ":2"), std::string::npos)
-      << message;
-  EXPECT_NE(message.find("(byte 9)"), std::string::npos) << message;
+    auto loaded = LoadTsv(ratings_path, trust_path, TsvOptions());
+    IngestOptions options;  // max_bad_rows = 0: strict
+    auto stats =
+        IngestTsvToShards(ratings_path, trust_path, dir + "/shards", options);
+    ASSERT_FALSE(loaded.ok());
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(loaded.status().code(), bad.code);
+    EXPECT_EQ(stats.status().code(), bad.code);
+    EXPECT_EQ(loaded.status().message(),
+              bad_path + ":2 (byte 9): " + bad.reason);
+    EXPECT_EQ(stats.status().message(), loaded.status().message());
+  }
 }
 
 TEST(IngestTest, BuildItemGraphFalseYieldsEmptyItemGraphOnly) {

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Reproducible benchmark snapshot: builds the release tree and runs the
-# scalar-vs-SIMD / eager-vs-compiled-tape A/B bench (bench/simd_bench.cc)
-# at pinned seeds and one kernel thread, writing the committed
-# BENCH_simd.json speedup table at the repo root, then the quantized-
-# serving bench (bench/quant_bench.cc) writing BENCH_quant.json
-# (bytes/user and serve-dot / top-K timings at fp64/fp16/int8). Seeds
-# are compiled into the benches; the thread count is pinned here so the
-# tables measure kernel speed, not scheduling (quant_bench pins its own
-# pool per top-K cell).
+# scalar-vs-SIMD A/B bench (bench/simd_bench.cc) at pinned seeds and one
+# kernel thread, writing the committed BENCH_simd.json speedup table at
+# the repo root, then the quantized-serving bench (bench/quant_bench.cc)
+# writing BENCH_quant.json (bytes/user and serve-dot / top-K timings at
+# fp64/fp16/int8). Seeds are compiled into the benches; the thread count
+# is pinned here so the tables measure kernel speed, not scheduling
+# (quant_bench pins its own pool per top-K cell).
 #
 # Usage:
 #   tools/bench_snapshot.sh           build + run, write BENCH_simd.json

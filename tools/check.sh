@@ -6,9 +6,10 @@
 # forced off plus the quant_check parity CLI (DESIGN.md §15),
 # the million-user substrate (`scale`) suite plus a real 2-worker
 # sweep_runner smoke sweep (DESIGN.md §17),
-# the determinism linter and the parallel write-overlap sweep
-# (DESIGN.md §13), a Clang -Wthread-safety build of the library,
-# sanitizer matrix (MSOPDS_SANITIZE=address/undefined,
+# the parallel write-overlap sweep (DESIGN.md §13; the determinism
+# linter runs inside ctest under the `lint` label), the end-to-end
+# benchmark package's self-test, a Clang -Wthread-safety build of the
+# library, a sanitizer matrix (MSOPDS_SANITIZE=address/undefined,
 # each with a multi-threaded pass over the `parallel` suite, plus a
 # ThreadSanitizer build running the `serve` and `serve_fault` labels so
 # the engine's hot-swap and overload paths are race-checked when the
@@ -129,9 +130,9 @@ if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
     MSOPDS_SIMD=0 ctest --test-dir build --output-on-failure -j
   }
   run_stage "ctest-release-simd-off" ctest_simd_off
-  # SIMD/compiled-tape parity label on the probed (vector) backend: the
-  # scalar-vs-vector and compiled-vs-eager bit contracts, kept as a
-  # named stage so the gate is visible and runnable on its own.
+  # SIMD parity label on the probed (vector) backend: the
+  # scalar-vs-vector bit contract, kept as a named stage so the gate is
+  # visible and runnable on its own.
   ctest_simd_parity() {
     ctest --test-dir build -L simd --output-on-failure -j
   }
@@ -200,20 +201,10 @@ if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
   }
   run_stage "sweep-smoke" sweep_smoke
   run_stage "verify-graph" ./build/tools/verify_graph
-  # Determinism/concurrency linter over the whole source tree: raw sync
-  # primitives outside util/sync.h, ambient RNG, unordered iteration
-  # feeding output order, unguarded members of mutex-owning classes
-  # (DESIGN.md §13).
-  run_stage "determinism-lint" ./build/tools/determinism_lint
   # Write-overlap pass alone (also part of verify-graph above): every
   # registered parallel kernel's chunk grid proven disjoint, plus the
   # checker's planted-violation self-test.
   run_stage "overlap-verify" ./build/tools/verify_graph --overlap-only
-  # Compiled-tape planning pass alone (also part of verify-graph above):
-  # every registry example's tape compiled, its arena offsets checked
-  # for lifetime overlap, and one replay bit-compared to an uncompiled
-  # reference run.
-  run_stage "compile-verify" ./build/tools/verify_graph --compile-only
 else
   skip_stage "ctest-release" "build failed"
   skip_stage "ctest-release-mt4" "build failed"
@@ -230,9 +221,19 @@ else
   skip_stage "ctest-scale" "build failed"
   skip_stage "sweep-smoke" "build failed"
   skip_stage "verify-graph" "build failed"
-  skip_stage "determinism-lint" "build failed"
   skip_stage "overlap-verify" "build failed"
 fi
+
+# --- end-to-end benchmark package --------------------------------------------
+# perfbench/ compiles ../src as a package of its own, so nothing else
+# rebuilds it after a src/ change. Building it and running its self-test
+# catches a library change that breaks the benchmark.
+perfbench_selftest() {
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release \
+    && cmake --build build-perfbench -j --target perfbench_selftest \
+    && ./build-perfbench/perfbench_selftest
+}
+run_stage "perfbench-selftest" perfbench_selftest
 
 # --- clang-tidy over src/ ----------------------------------------------------
 if command -v clang-tidy > /dev/null 2>&1; then
@@ -287,9 +288,8 @@ if [ $SANITIZERS -eq 1 ]; then
         ctest --test-dir "$dir" -L memory --output-on-failure -j
       }
       run_stage "ctest-$san-memory" ctest_san_memory
-      # SIMD/compiled-tape suite under the sanitizer: intrinsic loads
-      # past a buffer's end and slab-offset bugs in the tape planner are
-      # exactly the class ASan/UBSan catch.
+      # SIMD suite under the sanitizer: intrinsic loads past a buffer's
+      # end are exactly the class ASan/UBSan catch.
       ctest_san_simd() {
         ctest --test-dir "$dir" -L simd --output-on-failure -j
       }

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Python-free repo lint: include-guard style, float-vs-double drift in the
 # tensor kernels, and CHECK-macro misuse. Exits non-zero on any finding.
+# The comment-aware C++ rules (raw sync, ambient RNG, unordered
+# iteration, raw SIMD, unguarded members) live in util/determinism_lint
+# and run as the `determinism_lint_src` ctest.
 # Run from anywhere: paths are resolved relative to the repo root.
 set -u
 
@@ -80,23 +83,7 @@ while IFS= read -r future_file; do
 done < <(grep -rlE --include='*.h' --include='*.cc' \
              '^#include <future>' src)
 
-# --- 5. raw SIMD intrinsics outside the dispatch header ---------------------
-# Vendor intrinsics get exactly one home, src/tensor/simd.h, where every
-# backend shares the fixed-lane reduction schedule (DESIGN.md §14). An
-# intrinsic anywhere else can silently change associativity and break the
-# scalar/SIMD bit-exactness contract. Escape hatch: '// lint:allow-simd'
-# on or above the line, naming why the use is numerics-neutral. The C++
-# linter (util/determinism_lint) applies the same rule comment-aware;
-# this grep keeps it enforced even before the linter binary builds.
-while IFS= read -r match; do
-  report raw-simd "$match (intrinsics live in src/tensor/simd.h; annotate '// lint:allow-simd' if numerics-neutral)"
-done < <(grep -rnE --include='*.h' --include='*.cc' \
-             '#[[:space:]]*include[[:space:]]*<([a-z]+intrin|arm_neon|x86intrin)\.h>|[^A-Za-z0-9_]_mm(256|512)?_[a-z0-9_]+[[:space:]]*\(|__m(128|256|512)[di]?[^A-Za-z0-9_]|[^A-Za-z0-9_]v[a-z0-9_]+q_[fsu](8|16|32|64)[[:space:]]*\(' \
-             src \
-         | grep -v '^src/tensor/simd\.h:' \
-         | grep -v 'lint:allow-simd')
-
-# --- 6. util headers documented in DESIGN.md --------------------------------
+# --- 5. util headers documented in DESIGN.md --------------------------------
 # Every header in src/util is cross-cutting infrastructure; each must be
 # referenced from DESIGN.md so the design doc stays the complete map of
 # the utility layer (the doc names headers like util/sync.h).

@@ -20,14 +20,7 @@
 //   --max_grad_err=X     first-order tolerance (default 1e-6)
 //   --max_hvp_err=X      second-order tolerance (default 1e-5)
 //   --overlap-only       run only the write-overlap sweep + self-test
-//   --compile-only       run only the compiled-tape planning sweep
 //   --list               print the registry and exit
-//
-// The compiled-tape sweep (also run as part of the default matrix) dry-
-// runs tensor/compile.h over every registry example: it compiles the
-// example's forward+backward tape, checks the planned arena offsets for
-// lifetime-overlap violations (CompiledTape::Validate), replays once,
-// and requires the replayed bits to equal an uncompiled reference run.
 
 #include <algorithm>
 #include <cstdio>
@@ -38,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "tensor/compile.h"
 #include "tensor/grad.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
@@ -54,7 +46,6 @@ struct Args {
   double max_grad_err = 1e-6;
   double max_hvp_err = 1e-5;
   bool overlap_only = false;
-  bool compile_only = false;
   bool list = false;
 };
 
@@ -75,8 +66,6 @@ Args ParseArgs(int argc, char** argv) {
       args.max_hvp_err = std::atof(value_of("--max_hvp_err=").c_str());
     } else if (arg == "--overlap-only") {
       args.overlap_only = true;
-    } else if (arg == "--compile-only") {
-      args.compile_only = true;
     } else if (arg == "--list") {
       args.list = true;
     } else {
@@ -218,80 +207,6 @@ int RunOverlapSweep(const std::vector<msopds::OpSpec>& registry) {
   return failures;
 }
 
-bool BitsEqual(const msopds::Tensor& a, const msopds::Tensor& b) {
-  if (!a.SameShape(b)) return false;
-  return a.size() == 0 ||
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.size()) * sizeof(double)) == 0;
-}
-
-// Dry-runs the AOT tape compiler over every registry example: compile
-// the forward+backward tape, validate the planned arena offsets (no two
-// lifetime-overlapping allocations may share slab bytes), replay once,
-// and require the replayed bits to match an uncompiled reference run.
-// Returns the number of failures.
-int RunCompileSweep(const std::vector<msopds::OpSpec>& registry) {
-  int failures = 0;
-  std::printf("\n%-16s %7s %9s %9s %6s %6s  %s\n", "op", "allocs", "slab",
-              "naive", "reuse", "fused", "status");
-  for (const msopds::OpSpec& spec : registry) {
-    if (!spec.example) continue;
-    const msopds::GradcheckCase c = spec.example();
-
-    msopds::Tensor out_value;
-    std::vector<msopds::Tensor> grad_values;
-    const auto build = [&]() {
-      std::vector<msopds::Variable> params;
-      params.reserve(c.points.size());
-      for (const msopds::Tensor& p : c.points) {
-        params.push_back(msopds::Param(p.Clone()));
-      }
-      msopds::Variable out = c.fn(params);
-      out_value = out.value();
-      grad_values = msopds::GradValues(out, params);
-      return out;
-    };
-
-    // Uncompiled reference run; the Tensor handles keep these arena
-    // buffers alive across the compile/replay below.
-    build();
-    const msopds::Tensor ref_out = out_value;
-    const std::vector<msopds::Tensor> ref_grads = grad_values;
-
-    auto tape = msopds::CompiledTape::Compile(build);
-    const msopds::Status status = tape->Validate();
-    tape->Replay(build);
-
-    bool bits_ok = BitsEqual(ref_out, out_value) &&
-                   ref_grads.size() == grad_values.size();
-    if (bits_ok) {
-      for (size_t i = 0; i < ref_grads.size(); ++i) {
-        bits_ok = bits_ok && BitsEqual(ref_grads[i], grad_values[i]);
-      }
-    }
-    const msopds::TapeStats& stats = tape->stats();
-    const bool plan_ok = status.ok() && stats.replay_fallbacks == 0 &&
-                         stats.slab_doubles <= stats.naive_doubles;
-    const double reuse =
-        stats.naive_doubles > 0
-            ? 100.0 * (1.0 - static_cast<double>(stats.slab_doubles) /
-                                 static_cast<double>(stats.naive_doubles))
-            : 0.0;
-    std::printf("%-16s %7lld %9lld %9lld %5.1f%% %6lld  %s\n",
-                spec.name.c_str(), static_cast<long long>(stats.allocations),
-                static_cast<long long>(stats.slab_doubles),
-                static_cast<long long>(stats.naive_doubles), reuse,
-                static_cast<long long>(stats.fused_ops),
-                !status.ok() ? "FAIL (plan)"
-                : !plan_ok   ? "FAIL (replay fell back)"
-                : !bits_ok   ? "FAIL (bits differ)"
-                             : "ok");
-    if (!status.ok()) std::printf("  %s\n", status.message().c_str());
-    if (!plan_ok || !bits_ok) ++failures;
-  }
-  return failures;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -320,12 +235,6 @@ int main(int argc, char** argv) {
   if (args.overlap_only) {
     failures = RunOverlapSweep(registry);
     std::printf("\nwrite-overlap sweep: %d failure(s)\n", failures);
-    return failures == 0 ? 0 : 1;
-  }
-
-  if (args.compile_only) {
-    failures = RunCompileSweep(registry);
-    std::printf("\ncompile-plan sweep: %d failure(s)\n", failures);
     return failures == 0 ? 0 : 1;
   }
 
@@ -368,11 +277,7 @@ int main(int argc, char** argv) {
   // registry, plus the checker self-test.
   failures += RunOverlapSweep(registry);
 
-  // Stage 3: compiled-tape planning sweep — arena offsets validated and
-  // replayed bits checked against an uncompiled reference per example.
-  failures += RunCompileSweep(registry);
-
-  // Stage 4: exhaustive first- and second-order gradcheck over the
+  // Stage 3: exhaustive first- and second-order gradcheck over the
   // registry.
   std::printf("\n%-16s %-34s %12s %12s  %s\n", "op", "case", "grad_err",
               "hvp_err", "status");
