@@ -4,13 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-
 #include "bench/parallel_bench.h"
 #include "solver/conjugate_gradient.h"
 #include "tensor/grad.h"
 #include "tensor/ops.h"
-#include "tensor/remat.h"
 #include "util/arena.h"
 #include "util/rng.h"
 
@@ -227,67 +224,6 @@ void BM_MemTrainStepAllocs(benchmark::State& state) {
   arena.Trim();
 }
 BENCHMARK(BM_MemTrainStepAllocs)->ArgName("arena")->Arg(0)->Arg(1);
-
-void BM_MemCheckpointUnroll(benchmark::State& state) {
-  // Peak tape bytes vs checkpoint_every for an 8-step unrolled training
-  // loop (each step records a full inner backward, the shape of the PDS
-  // inner loop). k:0 is the full tape; the sweep reports the
-  // time-for-memory trade and asserts (mem_bit_identical) that every
-  // setting reproduces the full tape's gradient byte for byte.
-  const int64_t k = state.range(0);
-  const int64_t num_steps = 8;
-  const int64_t n = 96;
-  Rng rng(22);
-  const Tensor theta0 = RandomTensor({n, n}, &rng);
-  const Tensor target = RandomTensor({n, n}, &rng);
-  Variable coupling = Param(RandomTensor({n, n}, &rng));
-  // Remat contract: every op built from the handed state + leaves only.
-  auto step = [&](const std::vector<Variable>& s, int64_t) {
-    Variable residual = Sub(MatMul(s[0], coupling), Constant(target.Clone()));
-    Variable inner = Sum(Square(residual));
-    Variable g = Grad(inner, {s[0]})[0];
-    return std::vector<Variable>{Sub(s[0], ScalarMul(g, 1e-3))};
-  };
-  auto terminal = [](const std::vector<Variable>& s) {
-    return Sum(Square(s[0]));
-  };
-  auto run = [&]() {
-    return CheckpointedUnrollGrad({theta0}, {coupling}, num_steps, k, step,
-                                  terminal);
-  };
-  const CheckpointedGradResult reference = CheckpointedUnrollGrad(
-      {theta0}, {coupling}, num_steps, 0, step, terminal);
-
-  Arena& arena = Arena::Global();
-  arena.ResetPeak();
-  const int64_t bytes_before = arena.stats().bytes_live;
-  const CheckpointedGradResult probe = run();
-  const int64_t bytes_peak = arena.stats().high_water_bytes - bytes_before;
-  auto bytes_equal = [](const Tensor& x, const Tensor& y) {
-    return x.size() == y.size() &&
-           std::memcmp(x.data(), y.data(),
-                       static_cast<size_t>(x.size()) * sizeof(double)) == 0;
-  };
-  const bool identical = bytes_equal(probe.input_grads[0],
-                                     reference.input_grads[0]) &&
-                         bytes_equal(probe.state_grads[0],
-                                     reference.state_grads[0]) &&
-                         bytes_equal(probe.loss, reference.loss);
-
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run());
-  }
-  state.counters["mem_checkpoint_every"] = static_cast<double>(k);
-  state.counters["mem_bytes_peak"] = static_cast<double>(bytes_peak);
-  state.counters["mem_segments"] = static_cast<double>(probe.segments);
-  state.counters["mem_bit_identical"] = identical ? 1.0 : 0.0;
-}
-BENCHMARK(BM_MemCheckpointUnroll)
-    ->ArgName("k")
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4);
 
 void BM_ConjugateGradientSolve(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -5,8 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-
 #include "bench/parallel_bench.h"
 
 #include "attack/baselines.h"
@@ -194,64 +192,6 @@ void BM_MemVictimEpochAllocs(benchmark::State& state) {
   arena.Trim();
 }
 BENCHMARK(BM_MemVictimEpochAllocs)->ArgName("arena")->Arg(0)->Arg(1);
-
-void BM_MemPdsCheckpointSweep(benchmark::State& state) {
-  // Peak tape bytes vs checkpoint_every for the first-order PDS planning
-  // gradient (PdsSurrogate::CheckpointedGrad). k:0 runs the full tape;
-  // the gradients are bit-identical at every setting (asserted by
-  // mem_bit_identical against the k:0 reference).
-  const int k = static_cast<int>(state.range(0));
-  World world(100);
-  PdsConfig config;
-  config.inner_steps = 8;
-  Rng rng(22);
-  auto make_surrogate = [&](int checkpoint_every) {
-    PdsConfig c = config;
-    c.checkpoint_every = checkpoint_every;
-    Rng local(22);
-    return PdsSurrogate(world.dataset, {&world.capacity}, c, &local);
-  };
-  const PdsSurrogate surrogate = make_surrogate(k);
-  const PdsSurrogate reference_surrogate = make_surrogate(0);
-  std::vector<int64_t> users = world.demo.target_audience;
-  std::vector<int64_t> items(users.size(), world.demo.target_item);
-  Variable xhat = Param(Tensor::Full({world.capacity.size()}, 0.5));
-  auto readout = [&](const PdsSurrogate& s) {
-    return [&s, &users, &items](const PdsSurrogate::Outcome& outcome) {
-      return Neg(Mean(s.Predict(outcome, users, items)));
-    };
-  };
-  const PdsSurrogate::FirstOrderResult reference =
-      reference_surrogate.CheckpointedGrad({xhat},
-                                           readout(reference_surrogate));
-
-  Arena& arena = Arena::Global();
-  arena.ResetPeak();
-  const int64_t bytes_before = arena.stats().bytes_live;
-  const PdsSurrogate::FirstOrderResult probe =
-      surrogate.CheckpointedGrad({xhat}, readout(surrogate));
-  const int64_t bytes_peak = arena.stats().high_water_bytes - bytes_before;
-  const bool identical =
-      probe.gradients[0].size() == reference.gradients[0].size() &&
-      std::memcmp(probe.gradients[0].data(), reference.gradients[0].data(),
-                  static_cast<size_t>(probe.gradients[0].size()) *
-                      sizeof(double)) == 0 &&
-      probe.loss == reference.loss;
-
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(surrogate.CheckpointedGrad({xhat},
-                                                        readout(surrogate)));
-  }
-  state.counters["mem_checkpoint_every"] = static_cast<double>(k);
-  state.counters["mem_bytes_peak"] = static_cast<double>(bytes_peak);
-  state.counters["mem_bit_identical"] = identical ? 1.0 : 0.0;
-}
-BENCHMARK(BM_MemPdsCheckpointSweep)
-    ->ArgName("k")
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4);
 
 void BM_StepRatioAblation(benchmark::State& state) {
   // eta^p fixed at eta^q / ratio; reports the leader loss reached after

@@ -17,9 +17,9 @@
 // (default 4). On a single-core host speedups near (or below) 1.0 are
 // expected; the table still records pool overhead.
 //
-// Memory profile: benches that publish counters prefixed "mem_" (peak
-// tape bytes, allocations per step, arena hit rate — see the BM_Mem*
-// cases) are additionally collected into a second JSON table, written by
+// Memory profile: benches that publish counters prefixed "mem_"
+// (allocations per step, arena hit rate — see the BM_Mem* cases) are
+// additionally collected into a second JSON table, written by
 // the same main to the macro's `memory_json_path`, together with a
 // process-level MemStats sample (bench/bench_util.h).
 

@@ -4,7 +4,6 @@
 
 #include "tensor/grad.h"
 #include "tensor/optim.h"
-#include "tensor/remat.h"
 #include "util/arena.h"
 #include "util/logging.h"
 
@@ -47,19 +46,6 @@ MfParams Pretrain(const Dataset& world, const IndexVec& users,
   params.item_factors = leaves[1];
   params.user_bias = leaves[2];
   params.item_bias = leaves[3];
-  return params;
-}
-
-// Rebinds an AsVector()-ordered state (as handed out by the checkpointing
-// driver) back into an MfParams view.
-MfParams BindParams(const std::vector<Variable>& state, double global_mean) {
-  MSOPDS_CHECK_EQ(state.size(), 4u);
-  MfParams params;
-  params.user_factors = state[0];
-  params.item_factors = state[1];
-  params.user_bias = state[2];
-  params.item_bias = state[3];
-  params.global_mean = global_mean;
   return params;
 }
 
@@ -135,32 +121,17 @@ Tensor OptimizeFakeRatings(
       have_pretrained = true;
     }
 
-    // Recorded unroll from the pretrained point, with optional gradient
-    // checkpointing. The driver rebuilds the tape from leaf state either
-    // way, so checkpoint_every only changes peak memory, not bits.
+    // Recorded unroll from the pretrained point.
     Variable fake_values = Param(values.Clone());
-    const double global_mean = pretrained.global_mean;
-    const std::vector<Tensor> initial_state = {
-        pretrained.user_factors.value().Clone(),
-        pretrained.item_factors.value().Clone(),
-        pretrained.user_bias.value().Clone(),
-        pretrained.item_bias.value().Clone()};
-    const CheckpointedGradResult unrolled = CheckpointedUnrollGrad(
-        initial_state, {fake_values}, options.unroll_steps,
-        options.checkpoint_every,
-        [&](const std::vector<Variable>& state, int64_t) {
-          MfParams params = BindParams(state, global_mean);
-          Variable loss = MfLoss(params, all_users, all_items,
-                                 concat_targets(fake_values), options.mf.l2);
-          return FunctionalSgdStep(params, loss, options.inner_learning_rate)
-              .AsVector();
-        },
-        // L_IA = -(1/|U|) sum_u R(u, target): minimize.
-        [&](const std::vector<Variable>& state) {
-          return Neg(Mean(
-              MfPredict(BindParams(state, global_mean), ia_users, ia_items)));
-        });
-    const Tensor& gradient = unrolled.input_grads[0];
+    MfParams params = pretrained;
+    for (int step = 0; step < options.unroll_steps; ++step) {
+      Variable loss = MfLoss(params, all_users, all_items,
+                             concat_targets(fake_values), options.mf.l2);
+      params = FunctionalSgdStep(params, loss, options.inner_learning_rate);
+    }
+    // L_IA = -(1/|U|) sum_u R(u, target): minimize.
+    Variable attack_loss = Neg(Mean(MfPredict(params, ia_users, ia_items)));
+    const Tensor gradient = GradValues(attack_loss, {fake_values})[0];
     for (int64_t i = 0; i < values.size(); ++i) {
       values.at(i) -= options.outer_learning_rate * gradient.at(i);
     }

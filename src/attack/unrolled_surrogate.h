@@ -28,12 +28,6 @@ struct UnrolledMfOptions {
   /// Re-pretrain the surrogate every `refresh_every` outer iterations
   /// (0 = never; RevAdv refreshes, PGA does not).
   int refresh_every = 0;
-  /// Gradient checkpointing for the unrolled inner loop: keep only every
-  /// k-th step's parameters during the forward pass and rematerialize
-  /// segments during backward (tensor/remat.h). 0 disables (full tape).
-  /// Gradients are bit-identical at any setting; peak tape memory scales
-  /// with the segment length instead of unroll_steps.
-  int checkpoint_every = 0;
 };
 
 /// Optimizes the rating *values* of the fake (user, item) pairs to

@@ -65,31 +65,15 @@ PoisonPlan Bopds::Execute(Dataset* world, const Demographics& demo,
   ArenaRegion region;
   for (int iteration = 0; iteration < config_.iterations; ++iteration) {
     Variable xhat = importance.BinarizedParam(capacity_budget);
-    Tensor gradient;
-    if (config_.pds.checkpoint_every > 0) {
-      // Memory-bounded first-order path: segment the unrolled tape and
-      // rematerialize during backward (see PdsSurrogate::CheckpointedGrad).
-      PdsSurrogate::FirstOrderResult result = surrogate.CheckpointedGrad(
-          {xhat}, [&](const PdsSurrogate::Outcome& outcome) {
-            return ComprehensiveLossFromPredictions(
-                surrogate.Predict(outcome, target_users, target_items),
-                surrogate.Predict(outcome, compete_users, compete_items),
-                num_compete, config_.demote);
-          });
-      losses_.push_back(result.loss);
-      gradient = std::move(result.gradients[0]);
-    } else {
-      const PdsSurrogate::Outcome outcome = surrogate.TrainUnrolled({xhat});
-      Variable target_preds =
-          surrogate.Predict(outcome, target_users, target_items);
-      Variable compete_preds =
-          surrogate.Predict(outcome, compete_users, compete_items);
-      Variable loss = ComprehensiveLossFromPredictions(
-          target_preds, compete_preds, num_compete, config_.demote);
-      losses_.push_back(loss.value().item());
-      gradient = GradValues(loss, {xhat})[0];
-    }
-    importance.ApplyUpdate(gradient, config_.step);
+    const PdsSurrogate::Outcome outcome = surrogate.TrainUnrolled({xhat});
+    Variable target_preds =
+        surrogate.Predict(outcome, target_users, target_items);
+    Variable compete_preds =
+        surrogate.Predict(outcome, compete_users, compete_items);
+    Variable loss = ComprehensiveLossFromPredictions(
+        target_preds, compete_preds, num_compete, config_.demote);
+    losses_.push_back(loss.value().item());
+    importance.ApplyUpdate(GradValues(loss, {xhat})[0], config_.step);
   }
 
   PoisonPlan planned = importance.ExtractPlan(capacity_budget);

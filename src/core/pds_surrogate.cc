@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "tensor/grad.h"
-#include "tensor/remat.h"
 #include "util/fault.h"
 #include "util/health.h"
 #include "util/logging.h"
@@ -298,59 +297,6 @@ PdsSurrogate::Outcome PdsSurrogate::TrainUnrolled(
     }
   }
   return Forward(theta, social_weights, item_weights);
-}
-
-PdsSurrogate::FirstOrderResult PdsSurrogate::CheckpointedGrad(
-    const std::vector<Variable>& xhats,
-    const std::function<Variable(const Outcome&)>& readout) const {
-  MSOPDS_CHECK_EQ(static_cast<int64_t>(xhats.size()), num_players());
-  MSOPDS_CHECK(readout != nullptr);
-
-  // The rematerialization contract (tensor/remat.h) forbids interior
-  // nodes shared across steps, so the edge weights — derived from the
-  // x-hat leaves — are rebuilt inside each callback rather than hoisted
-  // the way TrainUnrolled() hoists them. That also makes the gradient
-  // fold independent of the segmentation, so any checkpoint_every
-  // produces the same bits.
-  const auto step_fn = [&](const std::vector<Variable>& theta, int64_t) {
-    const Variable social_weights = EdgeWeights(social_, xhats);
-    const Variable item_weights = EdgeWeights(item_, xhats);
-    const Variable loss =
-        TrainLoss(theta, social_weights, item_weights, xhats);
-    const std::vector<Variable> grads = Grad(loss, theta);
-    std::vector<Variable> next;
-    next.reserve(theta.size());
-    for (size_t i = 0; i < theta.size(); ++i) {
-      next.push_back(
-          Sub(theta[i], ScalarMul(grads[i], config_.inner_learning_rate)));
-    }
-    return next;
-  };
-  const auto loss_fn = [&](const std::vector<Variable>& theta) {
-    const Variable social_weights = EdgeWeights(social_, xhats);
-    const Variable item_weights = EdgeWeights(item_, xhats);
-    return readout(Forward(theta, social_weights, item_weights));
-  };
-
-  std::vector<Tensor> initial_state;
-  initial_state.reserve(theta_init_.size());
-  for (const Tensor& init : theta_init_) {
-    initial_state.push_back(init.Clone());
-  }
-  CheckpointedGradResult unrolled = CheckpointedUnrollGrad(
-      initial_state, xhats, config_.inner_steps, config_.checkpoint_every,
-      step_fn, loss_fn);
-  FirstOrderResult result;
-  result.loss = unrolled.loss.item();
-  result.gradients = std::move(unrolled.input_grads);
-  if (!std::isfinite(result.loss)) {
-    if (non_finite_inner_events_ == 0) {
-      MSOPDS_LOG(Warning)
-          << "PDS inner loop: non-finite checkpointed readout";
-    }
-    ++non_finite_inner_events_;
-  }
-  return result;
 }
 
 Variable PdsSurrogate::Predict(const Outcome& outcome,

@@ -1,7 +1,6 @@
 #ifndef MSOPDS_CORE_PDS_SURROGATE_H_
 #define MSOPDS_CORE_PDS_SURROGATE_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,12 +26,6 @@ struct PdsConfig {
   int num_layers = 1;
   /// Predictions are offset + <h_u^f, h_i^f>.
   double prediction_offset = 3.0;
-  /// Gradient checkpointing for the recorded inner loop, used by the
-  /// first-order CheckpointedGrad() path: keep only every k-th step's
-  /// theta during forward and rematerialize segments during backward
-  /// (tensor/remat.h). 0 disables (full tape). Second-order callers
-  /// (TrainUnrolled + HVPs) are unaffected — they need the whole graph.
-  int checkpoint_every = 0;
 };
 
 /// Progressive Differentiable Surrogate (paper §IV-C).
@@ -73,27 +66,6 @@ class PdsSurrogate {
   /// Differentiable predictions for aligned (users[k], items[k]) pairs.
   Variable Predict(const Outcome& outcome, const std::vector<int64_t>& users,
                    const std::vector<int64_t>& items) const;
-
-  /// First-order planning gradient with bounded tape memory.
-  struct FirstOrderResult {
-    /// d(readout)/d(xhats[p]), parallel to xhats.
-    std::vector<Tensor> gradients;
-    /// Readout (attack loss) value.
-    double loss = 0.0;
-  };
-
-  /// Runs the same unrolled training as TrainUnrolled(), applies
-  /// `readout` (attack loss from the final embeddings) and returns its
-  /// gradient w.r.t. every x-hat, segmenting the tape per
-  /// config().checkpoint_every so peak memory is one segment instead of
-  /// the whole inner loop. First-order only (no HVPs through this path);
-  /// edge weights are rebuilt per step, as the rematerialization contract
-  /// requires, so gradients are bit-identical across checkpoint settings
-  /// (including off). Fault injection does not apply to this path; a
-  /// non-finite readout still counts toward non_finite_inner_events().
-  FirstOrderResult CheckpointedGrad(
-      const std::vector<Variable>& xhats,
-      const std::function<Variable(const Outcome&)>& readout) const;
 
   /// Numerical-health diagnostic: non-finite inner-loop losses observed
   /// across all TrainUnrolled calls (real failures and injected faults).

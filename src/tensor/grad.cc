@@ -36,16 +36,16 @@ void CollectReachable(Node* root,
   }
 }
 
-// One gradient accumulator; exactly one member is populated, selected by
-// GradOptions::create_graph.
+// One gradient accumulator; exactly one member is populated: `graph` in
+// Grad()'s graph mode, `value` in GradValues()'s value mode.
 struct Accum {
   Variable graph;
   Tensor value;
 };
 
 // acc[i] += g[i], elementwise. Bit-identical to the Add op's kernel for
-// equal-shape operands; clones first when the buffer is aliased (e.g. the
-// caller's init_grads, or an op backward that passed its grad through).
+// equal-shape operands; clones first when the buffer is aliased (e.g. an
+// op backward that passed its grad through).
 void AddInPlace(Tensor* acc, const Tensor& g) {
   MSOPDS_CHECK(acc->SameShape(g));
   if (!acc->sole_buffer_owner()) *acc = acc->Clone();
@@ -62,21 +62,15 @@ struct BackwardOutputs {
 // Ready nodes are fired from a max-heap on Node::seq. Since inputs are
 // always created before their consumers, seq order is topological, and
 // max-seq-first firing visits nodes in one canonical reverse order that
-// does not depend on how (or in how many segments) the tape was built.
-// The gradient fold — the order contributions are added into each node's
-// accumulator — is therefore canonical too, which is what lets
-// tensor/remat.cc replay the tape segment by segment bit-identically.
+// does not depend on the order the graph's edges are discovered in. The
+// gradient fold — the order contributions are added into each node's
+// accumulator — is therefore canonical too.
 BackwardOutputs WalkBackward(const Variable& output,
                              const std::vector<Variable>& inputs,
-                             const Variable& grad_output, bool create_graph,
-                             const std::vector<Tensor>& init_grads) {
+                             const Variable& grad_output, bool create_graph) {
   MSOPDS_CHECK(output.defined());
   MSOPDS_CHECK(output.requires_grad())
       << "Grad() of an output that does not require grad";
-  if (!init_grads.empty()) {
-    MSOPDS_CHECK_EQ(init_grads.size(), inputs.size())
-        << "init_grads must parallel inputs";
-  }
 
   // Debug builds statically verify the recorded graph before walking it, so
   // a malformed graph fails loudly here instead of corrupting gradients.
@@ -117,18 +111,6 @@ BackwardOutputs WalkBackward(const Variable& output,
       }
     }
   };
-
-  // Pre-seed the checkpointing driver's cross-segment accumulators: the
-  // first in-segment contribution then folds as Add(init, contribution),
-  // exactly where the full-tape walk would be in its fold.
-  for (size_t i = 0; i < init_grads.size(); ++i) {
-    if (!init_grads[i].defined() || !inputs[i].requires_grad()) continue;
-    MSOPDS_CHECK(init_grads[i].SameShape(inputs[i].value()))
-        << "init_grads[" << i << "] shape mismatch";
-    accumulate(inputs[i].node().get(),
-               create_graph ? Constant(init_grads[i]) : Variable(),
-               init_grads[i]);
-  }
 
   {
     const Tensor seed_value = grad_output.defined()
@@ -221,24 +203,15 @@ BackwardOutputs WalkBackward(const Variable& output,
 
 std::vector<Variable> Grad(const Variable& output,
                            const std::vector<Variable>& inputs,
-                           const Variable& grad_output,
-                           const GradOptions& options) {
-  BackwardOutputs outputs = WalkBackward(output, inputs, grad_output,
-                                         options.create_graph,
-                                         options.init_grads);
-  if (options.create_graph) return std::move(outputs.graphs);
-  std::vector<Variable> result;
-  result.reserve(outputs.values.size());
-  for (Tensor& value : outputs.values) result.push_back(Constant(std::move(value)));
-  return result;
+                           const Variable& grad_output) {
+  return WalkBackward(output, inputs, grad_output, /*create_graph=*/true)
+      .graphs;
 }
 
 std::vector<Tensor> GradValues(const Variable& output,
                                const std::vector<Variable>& inputs,
-                               const Variable& grad_output,
-                               std::vector<Tensor> init_grads) {
-  return WalkBackward(output, inputs, grad_output, /*create_graph=*/false,
-                      init_grads)
+                               const Variable& grad_output) {
+  return WalkBackward(output, inputs, grad_output, /*create_graph=*/false)
       .values;
 }
 

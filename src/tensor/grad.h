@@ -8,28 +8,6 @@
 
 namespace msopds {
 
-/// Options controlling the backward walk in Grad() / GradValues().
-struct GradOptions {
-  /// When true (default), gradients are recorded Variables whose own
-  /// graphs reference `inputs`, so they can be differentiated again
-  /// (exact Hessian-vector products). When false the walk runs in value
-  /// mode: gradients accumulate into plain Tensors — in place when the
-  /// buffer refcount shows no aliases — and each node's accumulator is
-  /// released back to the arena as soon as the node fires. Value-mode
-  /// results carry the same bits as the values of graph-mode gradients;
-  /// only first-order information is available (Grad() wraps them as
-  /// graph-less Constants).
-  bool create_graph = true;
-
-  /// Optional initial accumulators, parallel to `inputs`: input i's
-  /// gradient fold starts from init_grads[i] instead of empty (undefined
-  /// tensors mean no seed). Used by the checkpointing driver
-  /// (tensor/remat.h) to chain a shared leaf's gradient across tape
-  /// segments so the segmented fold reproduces the full-tape fold
-  /// bit-for-bit. Entries for inputs without requires_grad are ignored.
-  std::vector<Tensor> init_grads;
-};
-
 /// Reverse-mode gradients of `output` w.r.t. each of `inputs`.
 ///
 /// `grad_output` seeds the backward pass (defaults to all-ones of the
@@ -41,13 +19,11 @@ struct GradOptions {
 ///
 /// The backward walk fires nodes in decreasing Node::seq order (a
 /// max-heap over creation order), which is one canonical
-/// reverse-topological order: gradient accumulation folds identically no
-/// matter how the graph was built or partitioned. tensor/remat.h depends
-/// on this for bit-identical gradient checkpointing.
+/// reverse-topological order: the order in which gradient contributions
+/// are added up is fixed by the recording alone.
 std::vector<Variable> Grad(const Variable& output,
                            const std::vector<Variable>& inputs,
-                           const Variable& grad_output = Variable(),
-                           const GradOptions& options = GradOptions());
+                           const Variable& grad_output = Variable());
 
 /// Detached gradient tensors (first-order only). Runs the value-mode
 /// walk directly: no gradient graph is recorded, accumulation is
@@ -56,8 +32,7 @@ std::vector<Variable> Grad(const Variable& output,
 /// gradient's value.
 std::vector<Tensor> GradValues(const Variable& output,
                                const std::vector<Variable>& inputs,
-                               const Variable& grad_output = Variable(),
-                               std::vector<Tensor> init_grads = {});
+                               const Variable& grad_output = Variable());
 
 /// Hessian-vector product: d/d(input) [ <Grad(output, input), v> ].
 /// `grad` must be the (graph-carrying) gradient of a scalar output w.r.t.

@@ -1,24 +1,18 @@
 // Bit-exactness contract of the memory runtime (DESIGN.md "Memory
-// model"): recycling buffers through the arena and segmenting the tape
-// with gradient checkpointing are pure memory optimizations — every
-// gradient, loss, and trained parameter must be byte-identical with the
-// arena on or off and at any checkpoint_every setting, including off.
+// model"): recycling buffers through the arena is a pure memory
+// optimization — every gradient, Hessian-vector product and trained
+// parameter must be byte-identical with the arena on or off.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
-#include "attack/poison_plan.h"
-#include "attack/unrolled_surrogate.h"
-#include "core/pds_surrogate.h"
-#include "data/demographics.h"
 #include "data/synthetic.h"
 #include "recsys/het_recsys.h"
 #include "recsys/trainer.h"
 #include "tensor/grad.h"
 #include "tensor/ops.h"
-#include "tensor/remat.h"
 #include "util/arena.h"
 #include "util/rng.h"
 
@@ -119,173 +113,6 @@ TEST(MemoryDeterminismTest, TrainModelBitIdenticalArenaOnOff) {
   for (size_t i = 0; i < with.size(); ++i) {
     EXPECT_TRUE(BitIdentical(with[i], without[i])) << "param " << i;
   }
-}
-
-// The unrolled problem used by the checkpointing tests: a functional-SGD
-// loop whose step differentiates w.r.t. the handed state (the shape of
-// the PDS inner loop, and a regression guard for the snapshot pass,
-// which must hand out requires-grad leaves for exactly this reason).
-struct UnrolledProblem {
-  Tensor theta0;
-  Tensor target;
-  Variable coupling;
-
-  explicit UnrolledProblem(uint64_t seed) {
-    Rng rng(seed);
-    theta0 = RandomTensor({12, 12}, &rng);
-    target = RandomTensor({12, 12}, &rng);
-    coupling = Param(RandomTensor({12, 12}, &rng));
-  }
-
-  CheckpointedGradResult Run(int64_t num_steps, int64_t k) const {
-    auto step = [this](const std::vector<Variable>& s, int64_t) {
-      Variable residual =
-          Sub(MatMul(s[0], coupling), Constant(target.Clone()));
-      Variable inner = Sum(Square(residual));
-      Variable g = Grad(inner, {s[0]})[0];
-      return std::vector<Variable>{Sub(s[0], ScalarMul(g, 1e-2))};
-    };
-    auto terminal = [](const std::vector<Variable>& s) {
-      return Sum(Square(s[0]));
-    };
-    return CheckpointedUnrollGrad({theta0}, {coupling}, num_steps, k, step,
-                                  terminal);
-  }
-};
-
-TEST(MemoryDeterminismTest, CheckpointedUnrollGradBitIdenticalAcrossK) {
-  const UnrolledProblem problem(11);
-  const int64_t num_steps = 8;
-  const CheckpointedGradResult full = problem.Run(num_steps, 0);
-  ASSERT_EQ(full.segments, 1);
-  EXPECT_GT(full.input_grads[0].MaxAbs(), 0.0);
-  EXPECT_GT(full.state_grads[0].MaxAbs(), 0.0);
-  for (int64_t k : {1, 2, 3, 4, 8}) {
-    const CheckpointedGradResult segmented = problem.Run(num_steps, k);
-    EXPECT_EQ(segmented.segments, (num_steps + k - 1) / k) << "k=" << k;
-    EXPECT_TRUE(BitIdentical(segmented.input_grads[0], full.input_grads[0]))
-        << "input grad, k=" << k;
-    EXPECT_TRUE(BitIdentical(segmented.state_grads[0], full.state_grads[0]))
-        << "state grad, k=" << k;
-    EXPECT_TRUE(BitIdentical(segmented.loss, full.loss)) << "loss, k=" << k;
-    EXPECT_TRUE(BitIdentical(segmented.final_state[0], full.final_state[0]))
-        << "final state, k=" << k;
-  }
-}
-
-TEST(MemoryDeterminismTest, CheckpointedUnrollGradBitIdenticalArenaOnOff) {
-  const UnrolledProblem problem(12);
-  auto run = [&problem] {
-    const CheckpointedGradResult r = problem.Run(6, 2);
-    return std::vector<Tensor>{r.input_grads[0], r.state_grads[0], r.loss};
-  };
-  const auto [with, without] = ArenaOnOff(run);
-  for (size_t i = 0; i < with.size(); ++i) {
-    EXPECT_TRUE(BitIdentical(with[i], without[i])) << "tensor " << i;
-  }
-}
-
-TEST(MemoryDeterminismTest, PdsCheckpointedGradBitIdenticalAcrossK) {
-  SyntheticConfig config;
-  config.num_users = 40;
-  config.num_items = 60;
-  config.num_ratings = 480;
-  config.num_social_links = 240;
-  Rng world_rng(9);
-  Dataset world = GenerateSynthetic(config, &world_rng);
-  const Demographics demo = SampleDemographics(world, 1, &world_rng)[0];
-  const std::vector<int64_t> fakes = AddFakeUsers(&world, 3);
-  for (int64_t fake : fakes) {
-    world.ratings.push_back({fake, demo.target_item, 5.0});
-  }
-  const CapacitySet capacity =
-      CapacitySet::MakeComprehensive(world, demo, fakes, 5.0);
-
-  std::vector<int64_t> users = demo.target_audience;
-  std::vector<int64_t> items(users.size(), demo.target_item);
-  Variable xhat = Param(Tensor::Full({capacity.size()}, 0.5));
-
-  auto run = [&](int checkpoint_every) {
-    PdsConfig pds;
-    pds.inner_steps = 6;
-    pds.checkpoint_every = checkpoint_every;
-    Rng rng(22);
-    const PdsSurrogate surrogate(world, {&capacity}, pds, &rng);
-    return surrogate.CheckpointedGrad(
-        {xhat}, [&](const PdsSurrogate::Outcome& outcome) {
-          return Neg(Mean(surrogate.Predict(outcome, users, items)));
-        });
-  };
-
-  const PdsSurrogate::FirstOrderResult full = run(0);
-  EXPECT_GT(full.gradients[0].MaxAbs(), 0.0);
-  for (int k : {1, 2, 3}) {
-    const PdsSurrogate::FirstOrderResult segmented = run(k);
-    EXPECT_TRUE(BitIdentical(segmented.gradients[0], full.gradients[0]))
-        << "k=" << k;
-    EXPECT_EQ(segmented.loss, full.loss) << "k=" << k;
-  }
-}
-
-TEST(MemoryDeterminismTest, UnrolledMfAttackBitIdenticalAcrossCheckpointing) {
-  // The unrolled-MF injection attack threads checkpoint_every through
-  // the same remat path; its step callback differentiates w.r.t. the
-  // handed parameters (FunctionalSgdStep), so this guards the full
-  // attack-layer wiring end to end.
-  SyntheticConfig config;
-  config.num_users = 30;
-  config.num_items = 40;
-  config.num_ratings = 300;
-  config.num_social_links = 90;
-  Rng world_rng(15);
-  Dataset world = GenerateSynthetic(config, &world_rng);
-  const Demographics demo = SampleDemographics(world, 1, &world_rng)[0];
-  const int64_t real_users = world.num_users;
-  const std::vector<int64_t> fakes = AddFakeUsers(&world, 2);
-  std::vector<std::pair<int64_t, int64_t>> pairs;
-  for (int64_t fake : fakes) {
-    for (int64_t item = 0; item < 6; ++item) {
-      if (item != demo.target_item) pairs.emplace_back(fake, item);
-    }
-  }
-  Tensor init({static_cast<int64_t>(pairs.size())});
-  init.Fill(3.0);
-
-  auto run = [&](int checkpoint_every) {
-    UnrolledMfOptions options;
-    options.pretrain_epochs = 5;
-    options.unroll_steps = 4;
-    options.outer_iterations = 2;
-    options.checkpoint_every = checkpoint_every;
-    Rng rng(31);
-    return OptimizeFakeRatings(world, demo, pairs, init, real_users, options,
-                               &rng);
-  };
-  const Tensor full = run(0);
-  for (int k : {1, 2}) {
-    EXPECT_TRUE(BitIdentical(run(k), full)) << "checkpoint_every=" << k;
-  }
-}
-
-TEST(MemoryDeterminismTest, CheckpointingBoundsPeakTapeBytes) {
-  // The memory half of the trade: segmenting an 8-step unroll at k=2
-  // must cut peak tape bytes well past the 35% acceptance floor.
-  const UnrolledProblem problem(13);
-  Arena& arena = Arena::Global();
-  const bool previous = arena.SetEnabled(true);
-  auto peak_bytes = [&](int64_t k) {
-    arena.Trim();
-    arena.ResetPeak();
-    const int64_t before = arena.stats().bytes_live;
-    problem.Run(8, k);
-    return arena.stats().high_water_bytes - before;
-  };
-  const int64_t full = peak_bytes(0);
-  const int64_t segmented = peak_bytes(2);
-  EXPECT_LT(segmented, full - full * 35 / 100)
-      << "full tape " << full << " bytes, k=2 " << segmented << " bytes";
-  arena.SetEnabled(previous);
-  arena.Trim();
 }
 
 }  // namespace

@@ -1,23 +1,28 @@
 #!/usr/bin/env bash
-# Repo-wide correctness gate: build + tests (serial and MSOPDS_THREADS=4),
-# graph verifier + registry gradcheck, the serving (`serve`) and
-# overload/chaos (`serve_fault`) suites at 1 and 4 kernel threads,
-# the quantized-serving (`quant`) suite with the vector backends on and
-# forced off plus the quant_check parity CLI (DESIGN.md §15),
-# the million-user substrate (`scale`) suite plus a real 2-worker
-# sweep_runner smoke sweep (DESIGN.md §17),
-# the parallel write-overlap sweep (DESIGN.md §13; the determinism
-# linter runs inside ctest under the `lint` label), the end-to-end
-# benchmark package's self-test, a Clang -Wthread-safety build of the
-# library, a sanitizer matrix (MSOPDS_SANITIZE=address/undefined,
-# each with a multi-threaded pass over the `parallel` suite, plus a
-# ThreadSanitizer build running the `serve` and `serve_fault` labels so
-# the engine's hot-swap and overload paths are race-checked when the
-# toolchain ships TSan),
-# clang-tidy over src/, and the Python-free lint. Prints a per-stage
-# summary table and exits non-zero if any stage fails. Stages whose
-# toolchain is missing (e.g. clang-tidy or clang++ not installed) are
-# reported SKIP, not FAIL.
+# Repo-wide correctness gate. No stage reruns tests an earlier stage ran
+# in the same build and environment:
+# - the full ctest suite at the default settings, at MSOPDS_THREADS=4,
+#   with the arena off and with the SIMD backends off (every label —
+#   simd, quant, scale, serve, serve_fault, memory, golden — runs inside
+#   each of these legs);
+# - the serving labels pinned to 1 kernel thread (`-L serve` is a regex,
+#   so it also matches `serve_fault`);
+# - the quant_check parity CLI (DESIGN.md §15) and a real 2-worker
+#   sweep_runner smoke sweep (DESIGN.md §17);
+# - verify_graph: static verification, the parallel write-overlap sweep
+#   (DESIGN.md §13) and the registry gradcheck;
+# - the end-to-end benchmark package's self-test;
+# - clang-tidy over src/ and a Clang -Wthread-safety build of the
+#   library;
+# - a sanitizer matrix: MSOPDS_SANITIZE=address/undefined, each running
+#   the full suite plus a multi-threaded pass over the `parallel` label,
+#   and a ThreadSanitizer build running the `serve` label (and with it
+#   `serve_fault`), so the engine's hot-swap and overload paths are
+#   race-checked when the toolchain ships TSan;
+# - the Python-free lint.
+# Prints a per-stage summary table and exits non-zero if any stage
+# fails. Stages whose toolchain is missing (e.g. clang-tidy or clang++
+# not installed) are reported SKIP, not FAIL.
 #
 # Usage:
 #   tools/check.sh                 full matrix (three builds; slow)
@@ -124,67 +129,26 @@ if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
   }
   run_stage "ctest-release-arena-off" ctest_arena_off
   # Same suite with the vector backends forced off at runtime: the
-  # scalar/SIMD bit-exactness contract (DESIGN.md §14) means every
+  # scalar/SIMD bit-exactness contract (DESIGN.md §14) and the quantized
+  # kernels' per-precision bit-identity (DESIGN.md §15) mean every
   # expectation must hold unchanged on the scalar reference kernels.
   ctest_simd_off() {
     MSOPDS_SIMD=0 ctest --test-dir build --output-on-failure -j
   }
   run_stage "ctest-release-simd-off" ctest_simd_off
-  # SIMD parity label on the probed (vector) backend: the
-  # scalar-vs-vector bit contract, kept as a named stage so the gate is
-  # visible and runnable on its own.
-  ctest_simd_parity() {
-    ctest --test-dir build -L simd --output-on-failure -j
-  }
-  run_stage "ctest-simd-parity" ctest_simd_parity
-  # Quantized-serving suite on the probed (vector) backend and with the
-  # vector paths forced off: the per-precision bit-identity and ranking
-  # parity bounds (DESIGN.md §15) must hold on both arms.
-  ctest_quant() {
-    ctest --test-dir build -L quant --output-on-failure -j
-  }
-  run_stage "ctest-quant" ctest_quant
-  ctest_quant_simd_off() {
-    MSOPDS_SIMD=0 ctest --test-dir build -L quant --output-on-failure -j
-  }
-  run_stage "ctest-quant-simd-off" ctest_quant_simd_off
   # Standalone quantization parity CLI: kernel dispatch bit parity over
   # every vector-tail remainder class, round-trip bounds, and end-to-end
   # top-K backend/thread parity.
   run_stage "quant-parity" ./build/tools/quant_check
-  # Serving suite pinned to both thread counts: the engine's lists must
-  # be bit-identical to the offline reference at any pool size, so the
-  # label runs once serial and once multi-threaded.
+  # Serving and overload/chaos suites pinned to one kernel thread (the
+  # 4-thread run is part of ctest-release-mt4): the engine's lists must
+  # be bit-identical to the offline reference, and the chaos replay must
+  # give identical shed/reject/degraded traces, at any pool size.
+  # `-L serve` is a regex, so it matches the serve_fault label too.
   ctest_serve_t1() {
     MSOPDS_THREADS=1 ctest --test-dir build -L serve --output-on-failure -j
   }
   run_stage "ctest-serve-t1" ctest_serve_t1
-  ctest_serve_t4() {
-    MSOPDS_THREADS=4 ctest --test-dir build -L serve --output-on-failure -j
-  }
-  run_stage "ctest-serve-t4" ctest_serve_t4
-  # Overload/chaos suite pinned to both thread counts: the chaos replay
-  # contract is identical shed/reject/degraded traces at any pool size.
-  # (`-L serve` above matches the serve_fault label too — regex match —
-  # but the explicit stages keep the robustness gate visible and runnable
-  # on its own.)
-  ctest_serve_fault_t1() {
-    MSOPDS_THREADS=1 ctest --test-dir build -L serve_fault \
-      --output-on-failure -j
-  }
-  run_stage "ctest-serve-fault-t1" ctest_serve_fault_t1
-  ctest_serve_fault_t4() {
-    MSOPDS_THREADS=4 ctest --test-dir build -L serve_fault \
-      --output-on-failure -j
-  }
-  run_stage "ctest-serve-fault-t4" ctest_serve_fault_t4
-  # Million-user substrate suite (DESIGN.md §17): shard-merge and
-  # out-of-core training bit-identity, streaming-ingest equivalence, and
-  # the orchestrator's SIGKILL-a-worker recovery contract.
-  ctest_scale() {
-    ctest --test-dir build -L scale --output-on-failure -j
-  }
-  run_stage "ctest-scale" ctest_scale
   # Crash-safe sweep smoke: a real 2-worker subprocess sweep over a
   # 4-cell toy grid, exercising dispatch, segment merge, and clean
   # shutdown outside the test harness.
@@ -200,28 +164,20 @@ if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
     return $rc
   }
   run_stage "sweep-smoke" sweep_smoke
+  # Static verification of a representative graph, the write-overlap
+  # sweep (every registered parallel kernel's chunk grid proven disjoint,
+  # plus the checker's planted-violation self-test) and the registry
+  # gradcheck.
   run_stage "verify-graph" ./build/tools/verify_graph
-  # Write-overlap pass alone (also part of verify-graph above): every
-  # registered parallel kernel's chunk grid proven disjoint, plus the
-  # checker's planted-violation self-test.
-  run_stage "overlap-verify" ./build/tools/verify_graph --overlap-only
 else
   skip_stage "ctest-release" "build failed"
   skip_stage "ctest-release-mt4" "build failed"
   skip_stage "ctest-release-arena-off" "build failed"
   skip_stage "ctest-release-simd-off" "build failed"
-  skip_stage "ctest-simd-parity" "build failed"
-  skip_stage "ctest-quant" "build failed"
-  skip_stage "ctest-quant-simd-off" "build failed"
   skip_stage "quant-parity" "build failed"
   skip_stage "ctest-serve-t1" "build failed"
-  skip_stage "ctest-serve-t4" "build failed"
-  skip_stage "ctest-serve-fault-t1" "build failed"
-  skip_stage "ctest-serve-fault-t4" "build failed"
-  skip_stage "ctest-scale" "build failed"
   skip_stage "sweep-smoke" "build failed"
   skip_stage "verify-graph" "build failed"
-  skip_stage "overlap-verify" "build failed"
 fi
 
 # --- end-to-end benchmark package --------------------------------------------
@@ -264,8 +220,11 @@ else
 fi
 
 # --- sanitizer matrix: Debug builds so MSOPDS_CHECK/auto-verify stay in -----
-# Each sanitizer also gets one multi-threaded pass over the parallel suite,
-# so races in the runtime are caught even without a TSan toolchain.
+# Each sanitizer runs the full suite — so recycled-buffer misuse (the
+# arena's poisoned free lists), intrinsic and quantized tail loads past a
+# buffer's end, and the scale layer's mmap/spill/pipe handling all run
+# under it — plus one multi-threaded pass over the parallel suite, so
+# races in the runtime are caught even without a TSan toolchain.
 if [ $SANITIZERS -eq 1 ]; then
   for san in address undefined; do
     dir="build-$san"
@@ -282,45 +241,18 @@ if [ $SANITIZERS -eq 1 ]; then
           --output-on-failure -j
       }
       run_stage "ctest-$san-mt4" ctest_san_mt
-      # Memory suite under the sanitizer: recycled-buffer misuse (the
-      # arena's poisoned free lists) must fault, not pass silently.
-      ctest_san_memory() {
-        ctest --test-dir "$dir" -L memory --output-on-failure -j
-      }
-      run_stage "ctest-$san-memory" ctest_san_memory
-      # SIMD suite under the sanitizer: intrinsic loads past a buffer's
-      # end are exactly the class ASan/UBSan catch.
-      ctest_san_simd() {
-        ctest --test-dir "$dir" -L simd --output-on-failure -j
-      }
-      run_stage "ctest-$san-simd" ctest_san_simd
-      # Quantized-serving suite under the sanitizer: the int8/fp16 tail
-      # loads and the quantize-time buffer sizing are exactly the class
-      # ASan/UBSan catch (plus UB from any out-of-range rounding).
-      ctest_san_quant() {
-        ctest --test-dir "$dir" -L quant --output-on-failure -j
-      }
-      run_stage "ctest-$san-quant" ctest_san_quant
-      # Scale suite under the sanitizer: mmap'd shard payload reads,
-      # the ingest spill buffers, and the orchestrator's fork/pipe
-      # lifetime handling are exactly the class ASan/UBSan catch.
-      ctest_san_scale() {
-        ctest --test-dir "$dir" -L scale --output-on-failure -j
-      }
-      run_stage "ctest-$san-scale" ctest_san_scale
     else
       skip_stage "ctest-$san" "build failed"
       skip_stage "ctest-$san-mt4" "build failed"
-      skip_stage "ctest-$san-memory" "build failed"
-      skip_stage "ctest-$san-simd" "build failed"
-      skip_stage "ctest-$san-quant" "build failed"
-      skip_stage "ctest-$san-scale" "build failed"
     fi
   done
   # ThreadSanitizer leg: the serving engine is the repo's first
   # reader/writer-concurrent code path, so its hot-swap must be checked
   # by a race detector, not only by assertions. TSan and ASan cannot
-  # share a build, hence a dedicated tree running the `serve` label.
+  # share a build, hence a dedicated tree running the `serve` label. The
+  # regex also matches `serve_fault`: rejection, shedding, degraded
+  # routing and retry/backoff cross the queue mutex and the
+  # snapshot/fallback slots concurrently, so they are race-checked too.
   if echo 'int main(){return 0;}' | g++ -x c++ -fsanitize=thread - \
        -o /tmp/msopds_tsan_probe$$ > /dev/null 2>&1; then
     rm -f /tmp/msopds_tsan_probe$$
@@ -336,22 +268,12 @@ if [ $SANITIZERS -eq 1 ]; then
           --output-on-failure -j
       }
       run_stage "ctest-thread-serve" ctest_thread_serve
-      # Overload/chaos suite under TSan: rejection, shedding, degraded
-      # routing, and retry/backoff all cross the queue mutex and the
-      # snapshot/fallback slots concurrently — race-check them explicitly.
-      ctest_thread_serve_fault() {
-        MSOPDS_THREADS=4 ctest --test-dir build-thread -L serve_fault \
-          --output-on-failure -j
-      }
-      run_stage "ctest-thread-serve-fault" ctest_thread_serve_fault
     else
       skip_stage "ctest-thread-serve" "build failed"
-      skip_stage "ctest-thread-serve-fault" "build failed"
     fi
   else
     skip_stage "build-thread" "toolchain has no TSan runtime"
     skip_stage "ctest-thread-serve" "toolchain has no TSan runtime"
-    skip_stage "ctest-thread-serve-fault" "toolchain has no TSan runtime"
   fi
 else
   skip_stage "sanitizers" "--no-sanitizers"

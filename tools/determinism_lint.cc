@@ -1,12 +1,11 @@
 // Determinism/concurrency linter CLI (see util/determinism_lint.h for
 // the rule list and DESIGN.md §13 for the conventions it enforces).
-// Run by tools/check.sh as the `determinism-lint` stage.
+// Run over src/ by ctest as `determinism_lint_src` (label `lint`).
 //
 // Usage:
 //   determinism_lint [--root=DIR] [--quiet]
 //
-// --root defaults to "src" relative to the current directory (check.sh
-// runs from the repo root). Exits 0 when the tree is clean, 1 when any
+// --root defaults to "src" relative to the current directory. Exits 0 when the tree is clean, 1 when any
 // finding is reported, 2 on usage/IO errors.
 
 #include <cstring>

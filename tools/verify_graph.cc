@@ -5,7 +5,7 @@
 // then sweeps every op in the shape-inference registry with first-order
 // (MaxGradError) and second-order (MaxHvpError) finite-difference checks.
 // Exits non-zero on any diagnostic or tolerance violation, so it can gate
-// CI (tools/check.sh stage "verify").
+// CI (tools/check.sh stage "verify-graph").
 //
 // Between those stages it sweeps every parallel kernel's static write
 // plan (OpSpec::write_plan at OpSpec::plan_example shapes) through
