@@ -116,16 +116,14 @@ struct MemStats {
   }
 };
 
-/// One BENCH_scale.json row: synthetic dataset size × storage mode, with
+/// One BENCH_scale.json row: synthetic dataset size × shard count, with
 /// the ingest and training phases' wall time and peak RSS reported
-/// separately (ResetPeakRss between the phases where supported).
+/// separately (each phase runs in its own process).
 struct ScaleRowStats {
   int64_t num_users = 0;
   int64_t num_items = 0;
   int64_t num_ratings = 0;
-  /// "inmem" (whole dataset resident) or "ooc" (shard-at-a-time).
-  std::string mode = "inmem";
-  /// Shard count of the out-of-core arms; 0 for the in-memory arm.
+  /// Shards the dataset was ingested into; 1 is the in-memory case.
   int64_t num_shards = 0;
   double ingest_seconds = 0.0;
   double train_seconds = 0.0;
@@ -142,7 +140,6 @@ inline void WriteScaleFields(JsonWriter* json, const ScaleRowStats& row) {
   json->Key("users").Int(row.num_users);
   json->Key("items").Int(row.num_items);
   json->Key("ratings").Int(row.num_ratings);
-  json->Key("mode").String(row.mode);
   json->Key("shards").Int(row.num_shards);
   json->Key("ingest_seconds").Double(row.ingest_seconds);
   json->Key("train_seconds").Double(row.train_seconds);

@@ -1,14 +1,12 @@
 // Million-user substrate bench (DESIGN.md §17): measures the users ×
-// wall-time × peak-RSS trajectory of the out-of-core data path against
-// the fully-resident one, and commits it as BENCH_scale.json.
+// wall-time × peak-RSS trajectory of the out-of-core data path, and
+// commits it as BENCH_scale.json.
 //
 // For each synthetic user count the bench writes a ratings/trust TSV
-// pair, then runs four arms:
-//
-//   inmem      1 shard, every shard held resident for the whole run
-//              (the whole-dataset baseline: RSS grows with the dataset);
-//   ooc x1/x4/x16  shard-at-a-time streaming at 1 / 4 / 16 shards
-//              (RSS bounded by the largest shard + model parameters).
+// pair, then ingests it and trains on it at 1, 4 and 16 shards. Training
+// streams one shard at a time, so its RSS is bounded by the largest
+// shard plus the model parameters; the 1-shard arm is the in-memory
+// case (RSS grows with the dataset).
 //
 // Every ingest and train phase runs in a fresh subprocess of this binary
 // (--phase=...), so each row's peak RSS (VmHWM) is that phase's own
@@ -69,7 +67,6 @@ struct ScaleBenchFlags {
   std::string trust_path;
   std::string shard_dir;
   int64_t shards = 1;
-  bool resident = false;
   std::string result_out;
 };
 
@@ -110,8 +107,6 @@ ScaleBenchFlags ParseFlags(int argc, char** argv) {
       flags.shard_dir = v;
     } else if (const char* v = value_of("--shards=")) {
       flags.shards = std::atoll(v);
-    } else if (const char* v = value_of("--resident=")) {
-      flags.resident = std::atoi(v) != 0;
     } else if (const char* v = value_of("--result_out=")) {
       flags.result_out = v;
     } else {
@@ -228,9 +223,9 @@ int IngestPhase(const ScaleBenchFlags& flags) {
   return 0;
 }
 
-/// --phase=train: full-batch MF over the shard set, streaming or
-/// resident, reporting wall time, train-process peak RSS, and the
-/// working-set bound (largest shard file).
+/// --phase=train: full-batch MF streamed over the shard set, reporting
+/// wall time, train-process peak RSS, and the working-set bound (largest
+/// shard file).
 int TrainPhase(const ScaleBenchFlags& flags) {
   auto paths = scale::ListShardPaths(flags.shard_dir);
   if (!paths.ok()) {
@@ -253,8 +248,7 @@ int TrainPhase(const ScaleBenchFlags& flags) {
   options.epochs = flags.epochs;
 
   const auto start = std::chrono::steady_clock::now();
-  auto result =
-      scale::TrainMfOutOfCore(&model, paths.value(), options, flags.resident);
+  auto result = scale::TrainMfOutOfCore(&model, paths.value(), options);
   if (!result.ok()) {
     std::fprintf(stderr, "train failed: %s\n",
                  result.status().ToString().c_str());
@@ -306,18 +300,11 @@ int MasterMain(const ScaleBenchFlags& flags, const char* argv0) {
           : flags.work_dir;
   std::filesystem::create_directories(work);
 
-  struct Arm {
-    const char* mode;
-    int64_t shards;
-    bool resident;
-  };
-  const std::vector<Arm> arms = {
-      {"inmem", 1, true}, {"ooc", 1, false}, {"ooc", 4, false},
-      {"ooc", 16, false}};
+  const int64_t shard_counts[] = {1, 4, 16};
 
   std::vector<ScaleRowStats> rows;
-  std::printf("%10s %6s %7s %10s %10s %14s %14s %14s\n", "users", "mode",
-              "shards", "ingest_s", "train_s", "ingest_rss_mb", "train_rss_mb",
+  std::printf("%10s %7s %10s %10s %14s %14s %14s\n", "users", "shards",
+              "ingest_s", "train_s", "ingest_rss_mb", "train_rss_mb",
               "shard_mb");
   for (int64_t num_users : flags.users) {
     const std::string user_dir =
@@ -327,33 +314,26 @@ int MasterMain(const ScaleBenchFlags& flags, const char* argv0) {
     const std::string trust_path = user_dir + "/trust.tsv";
     WriteSyntheticTsv(flags, num_users, ratings_path, trust_path);
 
-    // One ingest per shard count; the inmem and ooc x1 arms share it.
-    std::map<int64_t, PhaseOutcome> ingests;
-    for (const Arm& arm : arms) {
+    for (const int64_t shards : shard_counts) {
       const std::string shard_dir =
-          user_dir + StrFormat("/shards_%lld",
-                               static_cast<long long>(arm.shards));
+          user_dir + StrFormat("/shards_%lld", static_cast<long long>(shards));
       const std::string result_path =
-          user_dir + StrFormat("/result_%s_%lld.txt", arm.mode,
-                               static_cast<long long>(arm.shards));
-      if (ingests.count(arm.shards) == 0) {
-        PhaseOutcome ingest;
-        const std::string command = StrFormat(
-            "%s --phase=ingest --ratings=%s --trust=%s --shard_dir=%s "
-            "--shards=%lld --result_out=%s",
-            self.c_str(), ratings_path.c_str(), trust_path.c_str(),
-            shard_dir.c_str(), static_cast<long long>(arm.shards),
-            result_path.c_str());
-        if (!RunPhase(command, result_path, &ingest)) return 1;
-        ingests[arm.shards] = ingest;
-      }
-      const PhaseOutcome& ingest = ingests[arm.shards];
+          user_dir +
+          StrFormat("/result_%lld.txt", static_cast<long long>(shards));
+      PhaseOutcome ingest;
+      const std::string ingest_command = StrFormat(
+          "%s --phase=ingest --ratings=%s --trust=%s --shard_dir=%s "
+          "--shards=%lld --result_out=%s",
+          self.c_str(), ratings_path.c_str(), trust_path.c_str(),
+          shard_dir.c_str(), static_cast<long long>(shards),
+          result_path.c_str());
+      if (!RunPhase(ingest_command, result_path, &ingest)) return 1;
 
       PhaseOutcome train;
       const std::string command = StrFormat(
-          "%s --phase=train --shard_dir=%s --resident=%d --epochs=%d "
-          "--dim=%lld --seed=%llu --result_out=%s",
-          self.c_str(), shard_dir.c_str(), arm.resident ? 1 : 0, flags.epochs,
+          "%s --phase=train --shard_dir=%s --epochs=%d --dim=%lld --seed=%llu "
+          "--result_out=%s",
+          self.c_str(), shard_dir.c_str(), flags.epochs,
           static_cast<long long>(flags.dim),
           static_cast<unsigned long long>(flags.seed), result_path.c_str());
       if (!RunPhase(command, result_path, &train)) return 1;
@@ -367,8 +347,7 @@ int MasterMain(const ScaleBenchFlags& flags, const char* argv0) {
       row.num_users = static_cast<int64_t>(ingest.values.at("num_users"));
       row.num_items = static_cast<int64_t>(ingest.values.at("num_items"));
       row.num_ratings = static_cast<int64_t>(ingest.values.at("num_ratings"));
-      row.mode = arm.mode;
-      row.num_shards = arm.shards;
+      row.num_shards = shards;
       row.ingest_seconds = ingest.values.at("seconds");
       row.train_seconds = train.values.at("seconds");
       row.ingest_peak_rss_bytes =
@@ -379,8 +358,8 @@ int MasterMain(const ScaleBenchFlags& flags, const char* argv0) {
           static_cast<int64_t>(train.values.at("peak_shard_bytes"));
       row.final_loss = train.values.at("final_loss");
       rows.push_back(row);
-      std::printf("%10lld %6s %7lld %10.2f %10.2f %14.1f %14.1f %14.1f\n",
-                  static_cast<long long>(row.num_users), row.mode.c_str(),
+      std::printf("%10lld %7lld %10.2f %10.2f %14.1f %14.1f %14.1f\n",
+                  static_cast<long long>(row.num_users),
                   static_cast<long long>(row.num_shards), row.ingest_seconds,
                   row.train_seconds,
                   static_cast<double>(row.ingest_peak_rss_bytes) / (1 << 20),

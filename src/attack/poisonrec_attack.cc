@@ -5,8 +5,7 @@
 #include <numeric>
 
 #include "attack/baselines.h"
-#include "tensor/grad.h"
-#include "tensor/optim.h"
+#include "recsys/trainer.h"
 #include "util/logging.h"
 
 namespace msopds {
@@ -24,34 +23,16 @@ double BlackBoxReward(const std::vector<Rating>& ratings, int64_t num_users,
     for (const Rating& r : ratings) mean += r.value;
     mean /= static_cast<double>(ratings.size());
   }
-  MfParams params =
-      MakeMfParams(num_users, num_items, options.mf, mean, rng);
-  std::vector<Variable> leaves = params.AsVector();
-
-  std::vector<int64_t> users, items;
-  Tensor targets({static_cast<int64_t>(ratings.size())});
-  for (size_t k = 0; k < ratings.size(); ++k) {
-    users.push_back(ratings[k].user);
-    items.push_back(ratings[k].item);
-    targets.at(static_cast<int64_t>(k)) = ratings[k].value;
-  }
-  const IndexVec ui = MakeIndex(std::move(users));
-  const IndexVec ii = MakeIndex(std::move(items));
-  Adam optimizer(options.surrogate_learning_rate);
-  for (int epoch = 0; epoch < options.surrogate_epochs; ++epoch) {
-    Variable loss =
-        MfLoss(params, ui, ii, Constant(targets.Clone()), options.mf.l2);
-    optimizer.Step(&leaves, GradValues(loss, leaves));
-  }
-  params.user_factors = leaves[0];
-  params.item_factors = leaves[1];
-  params.user_bias = leaves[2];
-  params.item_bias = leaves[3];
+  MatrixFactorization surrogate(num_users, num_items, options.mf, mean, rng);
+  TrainOptions training;
+  training.epochs = options.surrogate_epochs;
+  training.learning_rate = options.surrogate_learning_rate;
+  TrainModel(&surrogate, ratings, training);
 
   std::vector<int64_t> qu(static_cast<size_t>(num_real_users));
   std::iota(qu.begin(), qu.end(), 0);
   std::vector<int64_t> qi(qu.size(), target_item);
-  return Mean(MfPredict(params, MakeIndex(std::move(qu)),
+  return Mean(MfPredict(surrogate.Bundle(), MakeIndex(std::move(qu)),
                         MakeIndex(std::move(qi))))
       .value()
       .item();

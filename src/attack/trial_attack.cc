@@ -5,8 +5,8 @@
 #include <numeric>
 
 #include "attack/baselines.h"
+#include "recsys/trainer.h"
 #include "tensor/grad.h"
-#include "tensor/optim.h"
 #include "util/logging.h"
 
 namespace msopds {
@@ -78,30 +78,14 @@ PoisonPlan TrialAttack::Execute(Dataset* world, const Demographics& demo,
     for (const Rating& r : world->ratings) mean += r.value;
     mean /= static_cast<double>(world->ratings.size());
   }
-  MfParams surrogate = MakeMfParams(world->num_users, world->num_items,
-                                    options_.mf, mean, rng);
-  std::vector<Variable> leaves = surrogate.AsVector();
-  {
-    std::vector<int64_t> users, items;
-    Tensor targets({static_cast<int64_t>(world->ratings.size())});
-    for (size_t k = 0; k < world->ratings.size(); ++k) {
-      users.push_back(world->ratings[k].user);
-      items.push_back(world->ratings[k].item);
-      targets.at(static_cast<int64_t>(k)) = world->ratings[k].value;
-    }
-    const IndexVec ui = MakeIndex(std::move(users));
-    const IndexVec ii = MakeIndex(std::move(items));
-    Adam optimizer(options_.surrogate_learning_rate);
-    for (int epoch = 0; epoch < options_.surrogate_epochs; ++epoch) {
-      Variable loss = MfLoss(surrogate, ui, ii, Constant(targets.Clone()),
-                             options_.mf.l2);
-      optimizer.Step(&leaves, GradValues(loss, leaves));
-    }
-  }
-  surrogate.user_factors = leaves[0];
-  surrogate.item_factors = leaves[1];
-  surrogate.user_bias = leaves[2];
-  surrogate.item_bias = leaves[3];
+  MatrixFactorization surrogate_model(world->num_users, world->num_items,
+                                      options_.mf, mean, rng);
+  TrainOptions training;
+  training.epochs = options_.surrogate_epochs;
+  training.learning_rate = options_.surrogate_learning_rate;
+  TrainModel(&surrogate_model, world->ratings, training);
+  const MfParams surrogate = surrogate_model.Bundle();
+  const std::vector<Variable> leaves = surrogate.AsVector();
 
   // Gradient of the injection objective w.r.t. surrogate parameters.
   std::vector<Tensor> ia_gradient;

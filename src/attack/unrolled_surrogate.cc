@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "recsys/trainer.h"
 #include "tensor/grad.h"
-#include "tensor/optim.h"
 #include "util/arena.h"
 #include "util/logging.h"
 
@@ -26,27 +26,22 @@ MfParams FunctionalSgdStep(const MfParams& params, const Variable& loss,
   return next;
 }
 
-// Detached pre-training of the surrogate on real + fake ratings.
-MfParams Pretrain(const Dataset& world, const IndexVec& users,
-                  const IndexVec& items, const Tensor& targets,
+// Detached pre-training of the surrogate on real + fake ratings (never
+// empty: there is at least one fake pair). The global mean is a
+// Tensor::Sum, so it carries that kernel's chunked fold.
+MfParams Pretrain(const Dataset& world, const std::vector<Rating>& ratings,
                   const UnrolledMfOptions& options, Rng* rng) {
-  double mean = 3.0;
-  if (targets.size() > 0) mean = targets.Sum() / targets.size();
-  MfParams params = MakeMfParams(world.num_users, world.num_items, options.mf,
-                                 mean, rng);
-  std::vector<Variable> leaves = params.AsVector();
-  Adam optimizer(options.pretrain_learning_rate);
-  for (int epoch = 0; epoch < options.pretrain_epochs; ++epoch) {
-    Variable loss = MfLoss(params, users, items,
-                           Constant(targets.Clone()), options.mf.l2);
-    const std::vector<Tensor> grads = GradValues(loss, leaves);
-    optimizer.Step(&leaves, grads);
+  Tensor targets({static_cast<int64_t>(ratings.size())});
+  for (size_t k = 0; k < ratings.size(); ++k) {
+    targets.at(static_cast<int64_t>(k)) = ratings[k].value;
   }
-  params.user_factors = leaves[0];
-  params.item_factors = leaves[1];
-  params.user_bias = leaves[2];
-  params.item_bias = leaves[3];
-  return params;
+  MatrixFactorization surrogate(world.num_users, world.num_items, options.mf,
+                                targets.Sum() / targets.size(), rng);
+  TrainOptions training;
+  training.epochs = options.pretrain_epochs;
+  training.learning_rate = options.pretrain_learning_rate;
+  TrainModel(&surrogate, ratings, training);
+  return surrogate.Bundle();
 }
 
 }  // namespace
@@ -62,7 +57,10 @@ Tensor OptimizeFakeRatings(
   MSOPDS_CHECK_GT(num_real_users, 0);
   MSOPDS_CHECK_LE(num_real_users, world.num_users);
 
-  // Index arrays: real ratings first, then the fake pairs.
+  // Index arrays: real ratings first, then the fake pairs. The
+  // surrogate's ratings follow the same order, the fakes rated with the
+  // current values at each refresh.
+  std::vector<Rating> surrogate_ratings = world.ratings;
   std::vector<int64_t> users, items;
   users.reserve(world.ratings.size() + fake_pairs.size());
   items.reserve(users.capacity());
@@ -75,6 +73,7 @@ Tensor OptimizeFakeRatings(
   for (const auto& [fake_user, item] : fake_pairs) {
     users.push_back(fake_user);
     items.push_back(item);
+    surrogate_ratings.push_back({fake_user, item, 0.0});
   }
   const IndexVec all_users = MakeIndex(std::move(users));
   const IndexVec all_items = MakeIndex(std::move(items));
@@ -111,13 +110,11 @@ Tensor OptimizeFakeRatings(
   for (int outer = 0; outer < options.outer_iterations; ++outer) {
     if (!have_pretrained ||
         (options.refresh_every > 0 && outer % options.refresh_every == 0)) {
-      Tensor all_targets({static_cast<int64_t>(all_users->size())});
-      for (int64_t i = 0; i < real_targets.size(); ++i)
-        all_targets.at(i) = real_targets.at(i);
-      for (int64_t i = 0; i < values.size(); ++i)
-        all_targets.at(real_targets.size() + i) = values.at(i);
-      pretrained =
-          Pretrain(world, all_users, all_items, all_targets, options, rng);
+      for (int64_t i = 0; i < values.size(); ++i) {
+        surrogate_ratings[world.ratings.size() + static_cast<size_t>(i)]
+            .value = values.at(i);
+      }
+      pretrained = Pretrain(world, surrogate_ratings, options, rng);
       have_pretrained = true;
     }
 

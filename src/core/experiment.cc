@@ -145,7 +145,6 @@ GameConfig DefaultGameConfig() {
   config.victim.embedding_dim = 16;
   config.victim_training.epochs = 40;
   config.victim_training.learning_rate = 0.05;
-  config.victim_training.optimizer = OptimizerKind::kAdam;
   config.num_opponents = 1;
   config.opponent_budget_level = 2;
   config.opponent_pds.embedding_dim = 8;

@@ -64,9 +64,11 @@ class MatrixFactorization : public RatingModel {
   const MfConfig& config() const { return config_; }
   double global_mean() const { return global_mean_; }
 
- private:
+  /// The current parameters as a functional bundle sharing this model's
+  /// leaf Variables (the attacks read a trained surrogate through it).
   MfParams Bundle() const;
 
+ private:
   MfConfig config_;
   double global_mean_;
   std::vector<Variable> params_;

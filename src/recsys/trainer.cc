@@ -1,12 +1,13 @@
 #include "recsys/trainer.h"
 
 #include <cmath>
-#include <memory>
+#include <utility>
 
 #include "tensor/grad.h"
 #include "tensor/optim.h"
 #include "util/arena.h"
 #include "util/fault.h"
+#include "util/health.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -14,37 +15,35 @@
 namespace msopds {
 namespace {
 
-std::unique_ptr<Optimizer> MakeOptimizer(const TrainOptions& options,
-                                         double learning_rate) {
-  if (options.optimizer == OptimizerKind::kAdam) {
-    return std::make_unique<Adam>(learning_rate);
-  }
-  return std::make_unique<Sgd>(learning_rate, options.momentum);
-}
+/// Learning-rate factor applied on every retry (exponential backoff).
+constexpr double kRetryDecay = 0.5;
 
 }  // namespace
 
-TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
-                       const TrainOptions& options) {
-  MSOPDS_CHECK(model != nullptr);
-  MSOPDS_CHECK_GT(options.epochs, 0);
-  MSOPDS_CHECK_GE(options.max_retries, 0);
-  MSOPDS_CHECK_GT(options.retry_decay, 0.0);
-  MSOPDS_CHECK_GE(options.num_threads, 0);
+StatusOr<TrainResult> TrainEpochs(std::vector<Variable>* params,
+                                  const TrainOptions& options,
+                                  const LossAndGrads& loss_and_grads) {
+  MSOPDS_CHECK(params != nullptr);
+  if (options.epochs <= 0) {
+    return Status::InvalidArgument("epochs must be positive");
+  }
+  if (!(options.learning_rate > 0.0) || options.max_retries < 0 ||
+      options.num_threads < 0) {
+    return Status::InvalidArgument(
+        "invalid learning-rate/retry/thread options");
+  }
   if (options.num_threads > 0) {
     ThreadPool::Global().SetNumThreads(options.num_threads);
   }
 
-  // One arena region per training run: per-epoch tape buffers recycle
-  // through the free lists and are trimmed in bulk when training ends.
+  // One arena region per training run: per-epoch buffers recycle through
+  // the free lists and are trimmed in bulk when training ends.
   ArenaRegion region;
 
   double learning_rate = options.learning_rate;
-  std::unique_ptr<Optimizer> optimizer = MakeOptimizer(options, learning_rate);
-
-  std::vector<Variable>* params = model->MutableParams();
+  Adam optimizer(learning_rate);
   FaultInjector& faults = FaultInjector::Global();
-  DivergenceDetector detector(options.divergence);
+  DivergenceDetector detector;
   int retries_left = options.max_retries;
 
   TrainResult result;
@@ -54,25 +53,19 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
     // Pre-epoch snapshot so an unhealthy epoch can be rolled back; a NaN
     // that slips into the parameters is unrecoverable otherwise.
     std::vector<Tensor> snapshot;
-    if (options.guard_numerics) {
-      snapshot.reserve(params->size());
-      for (const Variable& param : *params) {
-        snapshot.push_back(param.value().Clone());
-      }
+    snapshot.reserve(params->size());
+    for (const Variable& param : *params) {
+      snapshot.push_back(param.value().Clone());
     }
 
-    Health health = Health::kHealthy;
-    Variable loss = model->TrainingLoss(ratings);
-    const double epoch_loss = loss.value().item();
-    std::vector<Tensor> grads = GradValues(loss, *params);
+    std::vector<Tensor> grads;
+    StatusOr<double> loss = loss_and_grads(&grads);
+    if (!loss.ok()) return loss.status();
+    const double epoch_loss = loss.value();
     faults.MaybeCorruptTrainerGradients(&grads);
-    if (options.guard_numerics &&
-        (!std::isfinite(epoch_loss) || !AllFinite(grads))) {
-      health = Health::kNonFinite;
-    } else {
-      optimizer->Step(params, grads);
-    }
-    if (options.guard_numerics && health == Health::kHealthy) {
+    Health health = Health::kNonFinite;
+    if (std::isfinite(epoch_loss) && AllFinite(grads)) {
+      optimizer.Step(params, grads);
       health = detector.Observe(epoch_loss);
     }
 
@@ -86,35 +79,47 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
         result.failure = StrFormat(
             "epoch %d %s after %d retries (learning rate %.3g)", epoch,
             HealthToString(health).c_str(), result.retries, learning_rate);
-        MSOPDS_LOG(Warning) << "TrainModel giving up: " << result.failure;
+        MSOPDS_LOG(Warning) << "training giving up: " << result.failure;
         break;
       }
       --retries_left;
       ++result.retries;
-      learning_rate *= options.retry_decay;
-      optimizer = MakeOptimizer(options, learning_rate);
+      learning_rate *= kRetryDecay;
+      optimizer = Adam(learning_rate);
       detector.Reset();
-      MSOPDS_LOG(Warning) << "TrainModel epoch " << epoch << " "
+      MSOPDS_LOG(Warning) << "training epoch " << epoch << " "
                           << HealthToString(health)
                           << "; retrying with learning rate " << learning_rate;
       --epoch;  // retry the same epoch at the decayed learning rate
       continue;
     }
-
     result.loss_history.push_back(epoch_loss);
-    if (options.log_every > 0 && (epoch + 1) % options.log_every == 0) {
-      MSOPDS_LOG(Info) << "epoch " << (epoch + 1) << " loss " << epoch_loss;
-    }
   }
-  Variable final_loss = model->TrainingLoss(ratings);
-  result.final_loss = final_loss.value().item();
-  // Even with the guard off, a non-finite model must never be reported
-  // as healthy (the "no silent NaN" contract).
+
+  StatusOr<double> final_loss = loss_and_grads(nullptr);
+  if (!final_loss.ok()) return final_loss.status();
+  result.final_loss = final_loss.value();
+  // An overflowing last step can pass every epoch's check; a non-finite
+  // model must still never be reported as healthy.
   if (!std::isfinite(result.final_loss) && result.healthy) {
     result.healthy = false;
     result.failure = "non-finite final loss";
   }
   return result;
+}
+
+TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
+                       const TrainOptions& options) {
+  MSOPDS_CHECK(model != nullptr);
+  std::vector<Variable>* params = model->MutableParams();
+  StatusOr<TrainResult> result = TrainEpochs(
+      params, options, [&](std::vector<Tensor>* grads) -> StatusOr<double> {
+        Variable loss = model->TrainingLoss(ratings);
+        if (grads != nullptr) *grads = GradValues(loss, *params);
+        return loss.value().item();
+      });
+  MSOPDS_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
 }
 
 }  // namespace msopds

@@ -11,17 +11,9 @@
 namespace msopds {
 namespace scale {
 
-/// Outcome of an out-of-core training run. The training fields mirror
-/// TrainResult; the scale fields report what the shard-at-a-time driver
-/// actually touched.
-struct OutOfCoreResult {
-  std::vector<double> loss_history;
-  double final_loss = 0.0;
-  int retries = 0;
-  int fault_events = 0;
-  bool healthy = true;
-  std::string failure;
-
+/// Outcome of an out-of-core training run: the TrainEpochs result plus
+/// what the shard-at-a-time pass actually touched.
+struct OutOfCoreResult : TrainResult {
   /// Shard loads across all epochs (including the final-loss pass).
   int64_t shards_visited = 0;
   /// Largest single shard file touched — the out-of-core working set is
@@ -33,19 +25,23 @@ struct OutOfCoreResult {
 /// instead of holding it in memory, bit-identical to
 /// TrainModel(model, UserMajorRatings(dataset), options) at any shard
 /// count (the equivalence contract of DESIGN.md §17, asserted by
-/// ctest -L scale):
+/// ctest -L scale). Both run the same TrainEpochs driver (snapshot,
+/// guard, rollback, retry, Adam); only the loss-and-gradient pass
+/// differs, because no tape can span every shard:
 ///
 ///  - the shard CSR enumerates ratings in exactly the canonical
-///    user-major order, so the manual gradient loop replays the tape's
-///    per-rating accumulation sequence;
+///    user-major order, so the hand-written gradient loop replays the
+///    tape's per-rating accumulation sequence;
 ///  - the loss replicates Tensor::Sum's fixed kReduceGrain chunk grid
-///    and pairwise partial fold, streamed across shard boundaries, so
-///    the scalar loss — and with it the divergence detector, the retry
-///    trace, and fault-injection behavior — matches to the last bit.
+///    and pairwise partial fold (PairwiseSum), streamed across shard
+///    boundaries, so the scalar loss — and with it the divergence
+///    detector, the retry trace, and fault-injection behavior — matches
+///    to the last bit.
 ///
-/// `resident` keeps every shard mapped for the whole run (the in-memory
-/// comparison arm of BENCH_scale); the default re-maps one shard at a
-/// time, bounding peak RSS by the largest shard.
+/// At most one shard is mapped at a time, bounding peak RSS by the
+/// largest shard; a one-shard set is the in-memory case. An incomplete
+/// or inconsistent shard set, one that holds no ratings, or a model
+/// whose shape does not match it yields InvalidArgument.
 ///
 /// For LightGCN / HetRecSys victims the graph propagation couples users
 /// across shard cuts, so shard-local training is an approximation there;
@@ -53,7 +49,7 @@ struct OutOfCoreResult {
 /// is exact for MF.
 StatusOr<OutOfCoreResult> TrainMfOutOfCore(
     MatrixFactorization* model, const std::vector<std::string>& shard_paths,
-    const TrainOptions& options, bool resident = false);
+    const TrainOptions& options);
 
 }  // namespace scale
 }  // namespace msopds

@@ -18,40 +18,6 @@ void CheckShapes(const std::vector<Variable>& params,
 
 }  // namespace
 
-Sgd::Sgd(double learning_rate, double momentum, double weight_decay)
-    : learning_rate_(learning_rate),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  MSOPDS_CHECK_GT(learning_rate, 0.0);
-  MSOPDS_CHECK_GE(momentum, 0.0);
-  MSOPDS_CHECK_GE(weight_decay, 0.0);
-}
-
-void Sgd::Step(std::vector<Variable>* params, const std::vector<Tensor>& grads) {
-  CheckShapes(*params, grads);
-  if (momentum_ > 0.0 && velocity_.empty()) {
-    for (const Variable& p : *params)
-      velocity_.push_back(Tensor::Zeros(p.value().shape()));
-  }
-  for (size_t i = 0; i < params->size(); ++i) {
-    Tensor& value = (*params)[i].mutable_value();
-    const double* g = grads[i].data();
-    double* v = value.data();
-    if (momentum_ > 0.0) {
-      double* mom = velocity_[i].data();
-      for (int64_t j = 0; j < value.size(); ++j) {
-        const double grad = g[j] + weight_decay_ * v[j];
-        mom[j] = momentum_ * mom[j] + grad;
-        v[j] -= learning_rate_ * mom[j];
-      }
-    } else {
-      for (int64_t j = 0; j < value.size(); ++j) {
-        v[j] -= learning_rate_ * (g[j] + weight_decay_ * v[j]);
-      }
-    }
-  }
-}
-
 Adam::Adam(double learning_rate, double beta1, double beta2, double epsilon,
            double weight_decay)
     : learning_rate_(learning_rate),

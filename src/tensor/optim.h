@@ -8,43 +8,19 @@
 
 namespace msopds {
 
-/// First-order optimizers for ordinary (non-unrolled) training, e.g. the
-/// victim Het-RecSys in paper Eq. (1). Parameters must be leaf Variables;
-/// Step mutates their tensors in place. The differentiable surrogate (PDS)
-/// does NOT use these: its inner loop builds functional update graphs.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Applies one update. grads[i] must match params[i]'s shape.
-  virtual void Step(std::vector<Variable>* params,
-                    const std::vector<Tensor>& grads) = 0;
-};
-
-/// SGD with optional momentum and decoupled L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double learning_rate, double momentum = 0.0,
-               double weight_decay = 0.0);
-
-  void Step(std::vector<Variable>* params,
-            const std::vector<Tensor>& grads) override;
-
- private:
-  double learning_rate_;
-  double momentum_;
-  double weight_decay_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) with decoupled weight decay.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba) with decoupled weight decay: the optimizer of
+/// ordinary (non-unrolled) training, e.g. the victim Het-RecSys in paper
+/// Eq. (1), driven by TrainEpochs (recsys/trainer.h). Parameters must be
+/// leaf Variables; Step mutates their tensors in place. The
+/// differentiable surrogate (PDS) does NOT use it: its inner loop builds
+/// functional update graphs.
+class Adam {
  public:
   explicit Adam(double learning_rate, double beta1 = 0.9, double beta2 = 0.999,
                 double epsilon = 1e-8, double weight_decay = 0.0);
 
-  void Step(std::vector<Variable>* params,
-            const std::vector<Tensor>& grads) override;
+  /// Applies one update. grads[i] must match params[i]'s shape.
+  void Step(std::vector<Variable>* params, const std::vector<Tensor>& grads);
 
  private:
   double learning_rate_;

@@ -371,6 +371,40 @@ void CheckUnguardedMembers(const std::string& rel,
   }
 }
 
+// --- rule 6: blocking-wait --------------------------------------------------
+
+// No code may park a thread without a deadline: a missing wakeup becomes
+// a hang instead of a slowdown. Condition-variable waits go through
+// CondVar::WaitFor/WaitUntil; a bare Wait() (or the underlying std wait)
+// carries `// lint:allow-blocking-wait` naming the contract that bounds
+// it (pool lifecycle, grid progress, the engine resolving every promise).
+// A future's `.get()`/`.wait()` on a call result is checked only in files
+// that include <future>, so smart-pointer `.get()` stays legal elsewhere.
+const std::regex kBlockingWaitRe(R"(\.(wait|Wait)\()");
+const std::regex kFutureWaitRe(R"(\)\.(get|wait)\(\))");
+const std::regex kFutureIncludeRe(R"(^\s*#\s*include\s*<future>)");
+
+void CheckBlockingWait(const std::string& rel,
+                       const std::vector<SourceLine>& lines,
+                       LintReport* report) {
+  const bool uses_future =
+      std::any_of(lines.begin(), lines.end(), [](const SourceLine& line) {
+        return std::regex_search(line.code, kFutureIncludeRe);
+      });
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (!std::regex_search(lines[i].code, kBlockingWaitRe) &&
+        !(uses_future && std::regex_search(lines[i].code, kFutureWaitRe))) {
+      continue;
+    }
+    if (AllowedBy(lines, i, "determinism-lint: allow(blocking-wait)")) continue;
+    if (AllowedBy(lines, i, "lint:allow-blocking-wait")) continue;
+    report->findings.push_back(
+        {rel, static_cast<int64_t>(i + 1), "blocking-wait",
+         "deadline-less wait; use CondVar::WaitFor/WaitUntil or annotate "
+         "'// lint:allow-blocking-wait' naming the contract that bounds it"});
+  }
+}
+
 }  // namespace
 
 LintReport RunDeterminismLint(const std::string& src_root) {
@@ -399,6 +433,7 @@ LintReport RunDeterminismLint(const std::string& src_root) {
     CheckUnorderedIteration(rel, lines, &report);
     CheckRawSimd(rel, lines, &report);
     CheckUnguardedMembers(rel, lines, &report);
+    CheckBlockingWait(rel, lines, &report);
   }
   return report;
 }

@@ -14,7 +14,7 @@ struct LintFinding {
   /// 1-based line number of the offending line.
   int64_t line = 0;
   /// Rule id: "raw-sync", "ambient-rng", "unordered-iteration",
-  /// "raw-simd", or "unguarded-member".
+  /// "raw-simd", "unguarded-member", or "blocking-wait".
   std::string rule;
   std::string message;
 };
@@ -31,7 +31,7 @@ struct LintReport {
 };
 
 /// Number of rules applied per file.
-constexpr int64_t kNumLintRules = 5;
+constexpr int64_t kNumLintRules = 6;
 
 /// Scans every `.h`/`.cc` under `src_root` (recursively, in sorted path
 /// order) for compile-time-detectable nondeterminism (see DESIGN.md
@@ -68,6 +68,13 @@ constexpr int64_t kNumLintRules = 5;
 ///                       `// determinism-lint: unguarded(<why>)`.
 ///                       (Atomics, const, Mutex/CondVar, std::thread,
 ///                       and static members are exempt.)
+///   blocking-wait       `.wait(` / `.Wait(` anywhere, and a future's
+///                       `).get()` / `).wait()` in files that include
+///                       <future> — a wait with no deadline turns a
+///                       missing wakeup into a hang. Use
+///                       CondVar::WaitFor/WaitUntil, or annotate a wait
+///                       whose bound is a contract with
+///                       `// lint:allow-blocking-wait` (naming it).
 ///
 /// A rule can also be suppressed line-by-line with
 /// `// determinism-lint: allow(<rule>)`.

@@ -20,6 +20,13 @@ namespace msopds {
 /// fixed chunk order), so results are bit-identical at any thread count.
 int64_t NumChunks(int64_t total, int64_t grain);
 
+/// The fixed-shape fold ParallelReduceSum applies to its per-chunk
+/// partials: adjacent pairs are summed level by level and an odd tail is
+/// carried unchanged (never "+ 0.0", which would lose -0.0). Returns 0.0
+/// for no partials. Streaming replicas of a reduction (the out-of-core
+/// MF loss) call it to stay bit-identical with the in-memory kernel.
+double PairwiseSum(std::vector<double> partials);
+
 /// Persistent worker-thread pool behind every parallel kernel.
 ///
 /// Determinism contract (see DESIGN.md "Parallel runtime"):

@@ -1,8 +1,12 @@
-// Golden gate: two tiny multiplayer games whose paper metrics (rbar,
-// HR@3) and victim training loss are pinned bit for bit as hex-float
-// literals, plus the fake rating values the unrolled-MF attack (the
-// PGA/RevAdv surrogate) returns on a tiny world, all at 1 and 4 kernel
-// threads. `ctest -L golden` runs only this.
+// Golden gate: tiny multiplayer games whose paper metrics (rbar, HR@3)
+// and victim training loss are pinned bit for bit as hex-float literals,
+// plus the fake rating values the unrolled-MF attack (the PGA/RevAdv
+// surrogate) returns on a tiny world, all at 1 and 4 kernel threads. The
+// games cover MSOPDS against one BOPDS opponent and every attack that
+// fits an MF surrogate first (PGA, RevAdv, Trial, PoisonRec). Trial and
+// PoisonRec use their surrogate only to rank candidate profiles, so a
+// small change to the surrogate fit can leave their games unchanged.
+// `ctest -L golden` runs only this.
 //
 // A change that moves any value here changed a result. If the move is
 // intended, print the new values (the failure message carries them in
@@ -48,6 +52,8 @@ AttackFactory FastMsopdsFactory() {
 
 struct GoldenGame {
   std::string name;
+  /// MakeAttackFactory method; empty plays the fast MSOPDS planner.
+  std::string method;
   double average_rating;
   double hit_rate_at_3;
   double victim_final_loss;
@@ -57,10 +63,10 @@ void PrintTo(const GoldenGame& golden, std::ostream* os) {
   *os << golden.name;
 }
 
-GameResult PlayGame(const std::string& name) {
-  const AttackFactory attacker = name == "revadv"
-                                     ? MakeAttackFactory("RevAdv")
-                                     : FastMsopdsFactory();
+GameResult PlayGame(const GoldenGame& golden) {
+  const AttackFactory attacker = golden.method.empty()
+                                     ? FastMsopdsFactory()
+                                     : MakeAttackFactory(golden.method);
   const MultiplayerGame game(TestWorld(), FastGameConfig());
   return game.Run(attacker, /*budget_level=*/4, /*seed=*/2);
 }
@@ -78,7 +84,7 @@ TEST_P(GoldenTest, GameMetricsAreBitExact) {
   const GoldenGame& golden = std::get<0>(GetParam());
   const int threads = std::get<1>(GetParam());
   ThreadPool::Global().SetNumThreads(threads);
-  const GameResult result = PlayGame(golden.name);
+  const GameResult result = PlayGame(golden);
   ThreadPool::Global().SetNumThreads(1);
 
   ASSERT_TRUE(result.healthy) << result.failure;
@@ -90,10 +96,14 @@ TEST_P(GoldenTest, GameMetricsAreBitExact) {
 }
 
 const GoldenGame kGoldenGames[] = {
-    {"msopds_vs_bopds", 0x1.0c0dc14e31c74p+2, 0x1.5555555555555p-2,
+    {"msopds_vs_bopds", "", 0x1.0c0dc14e31c74p+2, 0x1.5555555555555p-2,
      0x1.278926e7cc286p-1},
-    {"revadv", 0x1.b6afb7cd140fbp+1, 0x1.5555555555555p-2,
+    {"revadv", "RevAdv", 0x1.b6afb7cd140fbp+1, 0x1.5555555555555p-2,
      0x1.00f447886e4a4p-1},
+    {"pga", "PGA", 0x1.b464c99fd7098p+1, 0x0p+0, 0x1.f115b16f0403cp-2},
+    {"trial", "Trial", 0x1.bba32ff2c2fa1p+1, 0x0p+0, 0x1.f6ae03db114d5p-2},
+    {"poisonrec", "PoisonRec", 0x1.a73888229395p+1, 0x0p+0,
+     0x1.015664184b88ap-1},
 };
 
 INSTANTIATE_TEST_SUITE_P(

@@ -108,19 +108,15 @@ TEST(MatrixFactorizationTest, LossIsDifferentiableInTargets) {
   EXPECT_GT(g.MaxAbs(), 0.0);
 }
 
-TEST(TrainerTest, SgdAndAdamBothConverge) {
+TEST(TrainerTest, AdamLowersTheLoss) {
   const Dataset world = SmallWorld();
-  for (OptimizerKind kind : {OptimizerKind::kAdam, OptimizerKind::kSgd}) {
-    Rng rng(9);
-    MatrixFactorization model(world.num_users, world.num_items, MfConfig{},
-                              3.5, &rng);
-    TrainOptions options;
-    options.optimizer = kind;
-    options.epochs = 30;
-    options.learning_rate = kind == OptimizerKind::kSgd ? 0.5 : 0.05;
-    const TrainResult result = TrainModel(&model, world.ratings, options);
-    EXPECT_LT(result.final_loss, result.loss_history.front());
-  }
+  Rng rng(9);
+  MatrixFactorization model(world.num_users, world.num_items, MfConfig{}, 3.5,
+                            &rng);
+  TrainOptions options;
+  options.epochs = 30;
+  const TrainResult result = TrainModel(&model, world.ratings, options);
+  EXPECT_LT(result.final_loss, result.loss_history.front());
 }
 
 TEST(MetricsTest, AverageTargetRatingClampsToRange) {

@@ -30,28 +30,18 @@ bool ParamsAllFinite(RatingModel* model) {
 
 TEST(TrainerRecoveryTest, GuardIsANoOpOnHealthyRuns) {
   const Dataset world = SmallWorld();
-  TrainOptions guarded;
-  guarded.epochs = 12;
-  TrainOptions unguarded = guarded;
-  unguarded.guard_numerics = false;
+  TrainOptions options;
+  options.epochs = 12;
 
-  Rng rng_a(5);
-  HetRecSys model_a(world, HetRecSysConfig{}, &rng_a);
-  const TrainResult result_a = TrainModel(&model_a, world.ratings, guarded);
+  Rng rng(5);
+  HetRecSys model(world, HetRecSysConfig{}, &rng);
+  const TrainResult result = TrainModel(&model, world.ratings, options);
 
-  Rng rng_b(5);
-  HetRecSys model_b(world, HetRecSysConfig{}, &rng_b);
-  const TrainResult result_b = TrainModel(&model_b, world.ratings, unguarded);
-
-  // Bit-identical: with no faults the guard must not change one update.
-  ASSERT_EQ(result_a.loss_history.size(), result_b.loss_history.size());
-  for (size_t i = 0; i < result_a.loss_history.size(); ++i) {
-    EXPECT_EQ(result_a.loss_history[i], result_b.loss_history[i]);
-  }
-  EXPECT_EQ(result_a.final_loss, result_b.final_loss);
-  EXPECT_TRUE(result_a.healthy);
-  EXPECT_EQ(result_a.retries, 0);
-  EXPECT_EQ(result_a.fault_events, 0);
+  // With no faults the guard never rolls an epoch back.
+  EXPECT_TRUE(result.healthy) << result.failure;
+  EXPECT_EQ(result.loss_history.size(), 12u);
+  EXPECT_EQ(result.retries, 0);
+  EXPECT_EQ(result.fault_events, 0);
 }
 
 TEST(TrainerRecoveryTest, PersistentFaultExhaustsRetriesButStaysFinite) {
@@ -97,24 +87,22 @@ TEST(TrainerRecoveryTest, OccasionalFaultsAreAbsorbedByRetries) {
   EXPECT_TRUE(std::isfinite(result.final_loss));
 }
 
-TEST(TrainerRecoveryTest, DisabledGuardLetsNansThroughAndReportsThem) {
+TEST(TrainerRecoveryTest, OverflowPastTheLastEpochFailsTheFinalLossCheck) {
   const Dataset world = SmallWorld();
-  FaultConfig faults;
-  faults.trainer_nan_probability = 1.0;
-  ScopedFaultInjection scope(faults);
-
   Rng rng(8);
   HetRecSys model(world, HetRecSysConfig{}, &rng);
   TrainOptions options;
-  options.epochs = 3;
-  options.guard_numerics = false;
+  options.epochs = 1;
+  options.learning_rate = 1e300;
   const TrainResult result = TrainModel(&model, world.ratings, options);
 
-  // Without the guard the NaN reaches the parameters — the run must at
-  // least be flagged unhealthy rather than returning a silent NaN model.
+  // The one epoch is healthy when the guard inspects it; only its Adam
+  // step overflows the predictions, which the final-loss pass catches —
+  // the run must be flagged unhealthy rather than return a silent NaN.
+  EXPECT_EQ(result.fault_events, 0);
   EXPECT_FALSE(std::isfinite(result.final_loss));
   EXPECT_FALSE(result.healthy);
-  EXPECT_FALSE(result.failure.empty());
+  EXPECT_EQ(result.failure, "non-finite final loss");
 }
 
 }  // namespace

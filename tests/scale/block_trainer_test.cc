@@ -71,7 +71,7 @@ void ExpectParamsBitIdentical(MatrixFactorization* expected,
 /// identical loss trace.
 void CheckBitIdentity(const Dataset& dataset,
                       const std::vector<std::string>& shard_paths,
-                      const TrainOptions& options, bool resident,
+                      const TrainOptions& options,
                       const std::string& context) {
   MatrixFactorization reference = FreshModel(dataset);
   const TrainResult expected =
@@ -79,7 +79,7 @@ void CheckBitIdentity(const Dataset& dataset,
   ASSERT_TRUE(expected.healthy) << context << ": " << expected.failure;
 
   MatrixFactorization streamed = FreshModel(dataset);
-  auto result = TrainMfOutOfCore(&streamed, shard_paths, options, resident);
+  auto result = TrainMfOutOfCore(&streamed, shard_paths, options);
   ASSERT_TRUE(result.ok()) << context << ": " << result.status().ToString();
   const OutOfCoreResult& ooc = result.value();
   EXPECT_TRUE(ooc.healthy) << context << ": " << ooc.failure;
@@ -107,26 +107,14 @@ TEST(BlockTrainerTest, BitIdenticalAcrossShardCountsThreadsAndArena) {
         TrainOptions options;
         options.epochs = 4;
         options.num_threads = threads;
-        CheckBitIdentity(
-            dataset, paths.value(), options, /*resident=*/false,
-            StrFormat("shards=%lld threads=%d arena=%d",
-                      static_cast<long long>(shards), threads,
-                      arena_on ? 1 : 0));
+        CheckBitIdentity(dataset, paths.value(), options,
+                         StrFormat("shards=%lld threads=%d arena=%d",
+                                   static_cast<long long>(shards), threads,
+                                   arena_on ? 1 : 0));
         Arena::Global().SetEnabled(previous);
       }
     }
   }
-}
-
-TEST(BlockTrainerTest, ResidentModeIsAlsoBitIdentical) {
-  const Dataset dataset = TrainingDataset();
-  const std::string dir = FreshDir("ooc_resident");
-  auto paths = WriteShards(dataset, dir, 4);
-  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
-  TrainOptions options;
-  options.epochs = 3;
-  CheckBitIdentity(dataset, paths.value(), options, /*resident=*/true,
-                   "resident");
 }
 
 TEST(BlockTrainerTest, ReportsShardTraffic) {
@@ -156,6 +144,31 @@ TEST(BlockTrainerTest, RejectsModelShapeMismatch) {
   options.epochs = 1;
   auto result = TrainMfOutOfCore(&wrong_shape, paths.value(), options);
   EXPECT_FALSE(result.ok());
+}
+
+TEST(BlockTrainerTest, RejectsShardSetWithoutRatings) {
+  Dataset empty;
+  empty.name = "no-ratings";
+  empty.num_users = 4;
+  empty.num_items = 3;
+  empty.social = UndirectedGraph(empty.num_users);
+  empty.items = UndirectedGraph(empty.num_items);
+  const std::string dir = FreshDir("ooc_no_ratings");
+  auto paths = WriteShards(empty, dir, 2);
+  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+  Rng init_rng(kInitSeed);
+  MatrixFactorization model(empty.num_users, empty.num_items, MfConfig(), 3.0,
+                            &init_rng);
+  TrainOptions options;
+  options.epochs = 1;
+  auto result = TrainMfOutOfCore(&model, paths.value(), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(paths.value().front()),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("no ratings"), std::string::npos)
+      << result.status().ToString();
 }
 
 }  // namespace

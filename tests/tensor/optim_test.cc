@@ -11,7 +11,7 @@ namespace msopds {
 namespace {
 
 // Minimizes f(x) = sum((x - t)^2) and returns the final point.
-Tensor Minimize(Optimizer* optimizer, const Tensor& start, const Tensor& t,
+Tensor Minimize(Adam* optimizer, const Tensor& start, const Tensor& t,
                 int steps) {
   std::vector<Variable> params = {Param(start.Clone())};
   for (int i = 0; i < steps; ++i) {
@@ -19,38 +19,6 @@ Tensor Minimize(Optimizer* optimizer, const Tensor& start, const Tensor& t,
     optimizer->Step(&params, GradValues(loss, params));
   }
   return params[0].value();
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Sgd sgd(0.1);
-  const Tensor t = Tensor::FromVector({1.0, -2.0, 0.5});
-  const Tensor x = Minimize(&sgd, Tensor::Zeros({3}), t, 100);
-  EXPECT_TRUE(AllClose(x, t, 1e-6));
-}
-
-TEST(SgdTest, OneStepMatchesHandComputation) {
-  // x0 = 0, target 1: grad = 2(x - 1) = -2; x1 = 0 - 0.1 * -2 = 0.2.
-  Sgd sgd(0.1);
-  const Tensor x =
-      Minimize(&sgd, Tensor::Zeros({1}), Tensor::FromVector({1.0}), 1);
-  EXPECT_NEAR(x.at(0), 0.2, 1e-12);
-}
-
-TEST(SgdTest, MomentumAcceleratesDescent) {
-  Sgd plain(0.02);
-  Sgd momentum(0.02, 0.9);
-  const Tensor t = Tensor::FromVector({3.0});
-  const Tensor x_plain = Minimize(&plain, Tensor::Zeros({1}), t, 10);
-  const Tensor x_momentum = Minimize(&momentum, Tensor::Zeros({1}), t, 10);
-  EXPECT_GT(x_momentum.at(0), x_plain.at(0));
-}
-
-TEST(SgdTest, WeightDecayShrinksParameters) {
-  Sgd sgd(0.1, 0.0, /*weight_decay=*/0.5);
-  std::vector<Variable> params = {Param(Tensor::FromVector({1.0}))};
-  // Zero task gradient: only decay acts. x1 = 1 - 0.1 * 0.5 * 1 = 0.95.
-  sgd.Step(&params, {Tensor::Zeros({1})});
-  EXPECT_NEAR(params[0].value().at(0), 0.95, 1e-12);
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {

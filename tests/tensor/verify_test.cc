@@ -218,13 +218,13 @@ TEST_F(VerifyTest, GuardRejectsMutationWhileGradGraphIsLive) {
 TEST_F(VerifyTest, OptimizerStepGuardRegression) {
   internal::SetLeafMutationGuard(true);
   std::vector<Variable> params = {Param(Tensor::FromVector({1, 2, 3}))};
-  Sgd sgd(0.1);
+  Adam adam(0.1);
   // The supported trainer flow: detached gradients, step. Fine.
   std::vector<Tensor> grads = GradValues(Sum(Square(params[0])), params);
-  sgd.Step(&params, grads);
+  adam.Step(&params, grads);
   // Holding a graph-carrying gradient across a step is the hazard.
   Variable live_grad = Grad(Sum(Square(params[0])), params)[0];
-  EXPECT_DEATH(sgd.Step(&params, grads), "live gradient graph");
+  EXPECT_DEATH(adam.Step(&params, grads), "live gradient graph");
 }
 
 TEST_F(VerifyTest, GuardDisabledAllowsHazardousMutation) {

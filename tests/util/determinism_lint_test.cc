@@ -224,6 +224,32 @@ TEST_F(DeterminismLintTest, ViolationsInsideCommentsAndStringsIgnored) {
   EXPECT_TRUE(Lint().ok());
 }
 
+TEST_F(DeterminismLintTest, BlockingWaitIsFlaggedUnlessAnnotated) {
+  WriteFile("serve/bare.cc",
+            "void F(CondVar& cv, MutexLock& l) { cv.Wait(l); }\n");
+  WriteFile("serve/annotated.cc",
+            "void F(CondVar& cv, MutexLock& l) {\n"
+            "  cv.Wait(l);  // lint:allow-blocking-wait (lifecycle-bounded)\n"
+            "}\n");
+  WriteFile("serve/future_user.cc",
+            "#include <future>\n"
+            "int F(std::promise<int>& p) { return p.get_future().get(); }\n");
+  WriteFile("serve/no_future.cc",
+            "int* F(std::unique_ptr<int>& p) { return Owner(p).get(); }\n");
+  WriteFile("serve/commented.cc",
+            "// Callers must never cv.Wait(lock) here; use WaitFor.\n"
+            "int Zero() { return 0; }\n");
+  const LintReport report = Lint();
+  ASSERT_EQ(report.findings.size(), 2u) << FormatLintReport(report);
+  EXPECT_EQ(report.findings[0].file, "serve/bare.cc");
+  EXPECT_EQ(report.findings[0].line, 1);
+  EXPECT_EQ(report.findings[1].file, "serve/future_user.cc");
+  EXPECT_EQ(report.findings[1].line, 2);
+  for (const std::string& rule : Rules(report)) {
+    EXPECT_EQ(rule, "blocking-wait");
+  }
+}
+
 TEST_F(DeterminismLintTest, ReportFormatNamesFileLineAndRule) {
   WriteFile("serve/raw.cc", "#include <mutex>\n");
   const LintReport report = Lint();

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Python-free repo lint: include-guard style, float-vs-double drift in the
-# tensor kernels, and CHECK-macro misuse. Exits non-zero on any finding.
-# The comment-aware C++ rules (raw sync, ambient RNG, unordered
-# iteration, raw SIMD, unguarded members) live in util/determinism_lint
-# and run as the `determinism_lint_src` ctest.
+# tensor kernels, CHECK-macro misuse, and util headers missing from
+# DESIGN.md. Exits non-zero on any finding. The comment-aware C++ rules
+# (raw sync, ambient RNG, unordered iteration, raw SIMD, unguarded
+# members, blocking waits) live in util/determinism_lint and run as the
+# `determinism_lint_src` ctest.
 # Run from anywhere: paths are resolved relative to the repo root.
 set -u
 
@@ -59,31 +60,7 @@ while IFS= read -r match; do
 done < <(grep -rnE --include='*.h' --include='*.cc' \
              'MSOPDS_CHECK[A-Z_]*\([^)]*(\+\+|--)' src)
 
-# --- 4. unbounded blocking waits (repo-wide) --------------------------------
-# No code may park a thread without a deadline: a missing wakeup becomes
-# a hang instead of a slowdown. Condition-variable waits go through
-# CondVar::WaitFor/WaitUntil; a bare Wait() (or the underlying std wait)
-# needs '// lint:allow-blocking-wait' naming the contract that bounds it
-# (pool lifecycle, grid progress, the engine resolving every promise).
-# Originally scoped to src/serve, now repo-wide since the annotated sync
-# layer gave every subsystem the same wait vocabulary.
-while IFS= read -r match; do
-  report blocking-wait "$match (deadline-less wait; use WaitFor/WaitUntil or annotate '// lint:allow-blocking-wait')"
-done < <(grep -rnE --include='*.h' --include='*.cc' \
-             '\.wait\(|\.Wait\(' src \
-         | grep -v 'lint:allow-blocking-wait')
-# future .get()/.wait() is checked only in files that use <future>, with
-# the ')' call-chain pattern, so shared_ptr/unique_ptr '.get()' on plain
-# variables stays legal everywhere else.
-while IFS= read -r future_file; do
-  while IFS= read -r match; do
-    report blocking-wait "$future_file:$match (deadline-less future wait; annotate '// lint:allow-blocking-wait')"
-  done < <(grep -nE '\)\.get\(\)|\)\.wait\(\)' "$future_file" \
-           | grep -v 'lint:allow-blocking-wait')
-done < <(grep -rlE --include='*.h' --include='*.cc' \
-             '^#include <future>' src)
-
-# --- 5. util headers documented in DESIGN.md --------------------------------
+# --- 4. util headers documented in DESIGN.md --------------------------------
 # Every header in src/util is cross-cutting infrastructure; each must be
 # referenced from DESIGN.md so the design doc stays the complete map of
 # the utility layer (the doc names headers like util/sync.h).
