@@ -58,10 +58,11 @@ std::vector<MsoIterationStats> MsoOptimizer::Optimize(
     }
 
     // Step 8: first-order partials. The leader needs dL^p/dXhat^p and
-    // dL^p/dXhat^{q_i}; each follower needs dL^{q_i}/dXhat^{q_i} with the
-    // graph retained for second-order products.
-    const std::vector<Variable> leader_grads = Grad(loss_values[0], xhats);
-    Tensor leader_total = leader_grads[0].value().Clone();
+    // dL^p/dXhat^{q_i} by value only; each follower needs
+    // dL^{q_i}/dXhat^{q_i} with the graph retained for second-order
+    // products.
+    const std::vector<Tensor> leader_grads = GradValues(loss_values[0], xhats);
+    Tensor leader_total = leader_grads[0].Clone();
 
     std::vector<Tensor> follower_updates(num_players);  // [q] for q >= 1
     for (size_t q = 1; q < num_players; ++q) {
@@ -73,7 +74,7 @@ std::vector<MsoIterationStats> MsoOptimizer::Optimize(
       // right-hand side or follower gradient (e.g. an injected NaN in
       // the surrogate inner loop) skips the implicit term for this
       // iteration instead of poisoning the leader update.
-      const Tensor& rhs = leader_grads[q].value();
+      const Tensor& rhs = leader_grads[q];
       if (!AllFinite(rhs) || !AllFinite(follower_updates[q])) {
         ++stats.non_finite_events;
         continue;

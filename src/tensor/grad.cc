@@ -1,8 +1,9 @@
 #include "tensor/grad.h"
 
-#include <queue>
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "tensor/simd.h"
@@ -14,26 +15,39 @@ namespace {
 
 using internal::Node;
 
-// Collects the set of requires-grad nodes reachable from `root` and the
-// number of requires-grad consumers of each (within that set).
-void CollectReachable(Node* root,
-                      std::unordered_map<Node*, int>* pending_consumers) {
+// The walk's plan: the requires-grad nodes reachable from the output that
+// were created no earlier than the earliest requested input, in ascending
+// seq order (a node created before every requested input cannot lead to
+// one: its inputs are older still). `index` maps each back to its slot.
+struct WalkPlan {
+  std::vector<Node*> order;
+  std::unordered_map<Node*, size_t> index;
+};
+
+WalkPlan PlanWalk(Node* root, uint64_t min_seq) {
+  WalkPlan plan;
+  if (root->seq < min_seq) return plan;
   std::vector<Node*> stack;
   stack.reserve(64);
   stack.push_back(root);
-  pending_consumers->reserve(256);
-  (*pending_consumers)[root] = 0;
+  plan.index.reserve(256);
+  plan.index.emplace(root, 0);
   while (!stack.empty()) {
     Node* node = stack.back();
     stack.pop_back();
+    plan.order.push_back(node);
     for (const Variable& input : node->inputs) {
       Node* in = input.node().get();
-      if (in == nullptr || !in->requires_grad) continue;
-      auto [it, inserted] = pending_consumers->emplace(in, 0);
-      ++it->second;
-      if (inserted) stack.push_back(in);
+      if (in == nullptr || !in->requires_grad || in->seq < min_seq) continue;
+      if (plan.index.emplace(in, 0).second) stack.push_back(in);
     }
   }
+  std::sort(plan.order.begin(), plan.order.end(),
+            [](const Node* a, const Node* b) { return a->seq < b->seq; });
+  for (size_t i = 0; i < plan.order.size(); ++i) {
+    plan.index[plan.order[i]] = i;
+  }
+  return plan;
 }
 
 // One gradient accumulator; exactly one member is populated: `graph` in
@@ -59,12 +73,22 @@ struct BackwardOutputs {
 
 // The shared reverse-mode walk behind Grad() and GradValues().
 //
-// Ready nodes are fired from a max-heap on Node::seq. Since inputs are
-// always created before their consumers, seq order is topological, and
-// max-seq-first firing visits nodes in one canonical reverse order that
-// does not depend on the order the graph's edges are discovered in. The
-// gradient fold — the order contributions are added into each node's
-// accumulator — is therefore canonical too.
+// Only *needed* nodes fire: those on a path from the output to a
+// requested input. One ascending sweep over the plan marks a node needed
+// when it is requested or one of its inputs is needed (inputs carry
+// smaller seqs, so they are decided first). Every consumer of a needed
+// node is itself needed, so a needed node receives exactly the
+// contributions an unpruned walk would give it.
+//
+// Needed nodes fire in decreasing Node::seq order. Inputs are always
+// created before their consumers, so by the time a node fires every
+// consumer has fired and its gradient is complete; the order does not
+// depend on the order the graph's edges are discovered in. The gradient
+// fold — the order contributions are added into each node's accumulator —
+// is therefore canonical too, and pruning leaves it unchanged. Each op
+// backward gets a mask of the inputs whose gradient the walk needs and
+// computes only those; a requested node none of whose inputs is needed
+// does not run its backward at all.
 BackwardOutputs WalkBackward(const Variable& output,
                              const std::vector<Variable>& inputs,
                              const Variable& grad_output, bool create_graph) {
@@ -88,31 +112,49 @@ BackwardOutputs WalkBackward(const Variable& output,
   // time the walk returns.
   internal::ScopedGradRecording recording;
 
-  std::unordered_map<Node*, int> pending;
-  CollectReachable(output.node().get(), &pending);
+  uint64_t min_seq = std::numeric_limits<uint64_t>::max();
+  for (const Variable& input : inputs) {
+    MSOPDS_CHECK(input.defined());
+    min_seq = std::min(min_seq, input.node()->seq);
+  }
+  const WalkPlan plan = PlanWalk(output.node().get(), min_seq);
+  const size_t num_nodes = plan.order.size();
+  auto slot_of = [&plan](const Variable& v) -> const size_t* {
+    auto it = plan.index.find(v.node().get());
+    return it == plan.index.end() ? nullptr : &it->second;
+  };
+  // A requested input outside the plan does not require grad or is not
+  // reachable from the output: its gradient is zero.
+  std::vector<char> requested(num_nodes, 0);
+  for (const Variable& input : inputs) {
+    if (const size_t* slot = slot_of(input)) requested[*slot] = 1;
+  }
+  std::vector<char> needed = requested;
+  for (size_t i = 0; i < num_nodes; ++i) {
+    const Node* node = plan.order[i];
+    for (size_t k = 0; !needed[i] && k < node->inputs.size(); ++k) {
+      const size_t* slot = slot_of(node->inputs[k]);
+      needed[i] = slot != nullptr && needed[*slot];
+    }
+  }
 
-  std::unordered_map<Node*, Accum> accumulated;
-  accumulated.reserve(pending.size());
-
-  auto accumulate = [&](Node* node, const Variable& graph_grad,
+  std::vector<Accum> accumulated(num_nodes);
+  auto accumulate = [&](size_t slot, const Variable& graph_grad,
                         const Tensor& value_grad) {
-    auto [it, inserted] = accumulated.try_emplace(node);
+    Accum& acc = accumulated[slot];
     if (create_graph) {
-      if (it->second.graph.defined()) {
-        it->second.graph = Add(it->second.graph, graph_grad);
-      } else {
-        it->second.graph = graph_grad;
-      }
+      acc.graph = acc.graph.defined() ? Add(acc.graph, graph_grad)
+                                      : graph_grad;
+    } else if (acc.value.defined()) {
+      AddInPlace(&acc.value, value_grad);
     } else {
-      if (it->second.value.defined()) {
-        AddInPlace(&it->second.value, value_grad);
-      } else {
-        it->second.value = value_grad;
-      }
+      acc.value = value_grad;
     }
   };
 
-  {
+  if (num_nodes > 0 && needed[num_nodes - 1]) {
+    // The output is the newest planned node: every other one is among its
+    // inputs, transitively.
     const Tensor seed_value = grad_output.defined()
                                   ? grad_output.value()
                                   : Tensor::Ones(output.value().shape());
@@ -122,59 +164,48 @@ BackwardOutputs WalkBackward(const Variable& output,
     if (create_graph) {
       seed_graph = grad_output.defined() ? grad_output : Constant(seed_value);
     }
-    accumulate(output.node().get(), seed_graph, seed_value);
+    accumulate(num_nodes - 1, seed_graph, seed_value);
   }
 
-  std::unordered_set<Node*> requested;
-  requested.reserve(inputs.size());
-  for (const Variable& input : inputs) {
-    MSOPDS_CHECK(input.defined());
-    requested.insert(input.node().get());
-  }
-
-  // Max-heap on seq; seqs are unique so the order is total.
-  std::priority_queue<std::pair<uint64_t, Node*>> ready;
-  ready.emplace(output.node()->seq, output.node().get());
-  while (!ready.empty()) {
-    Node* node = ready.top().second;
-    ready.pop();
-    auto acc_it = accumulated.find(node);
-    MSOPDS_CHECK(acc_it != accumulated.end());
-    Accum grad = std::move(acc_it->second);
-    // Liveness: a fired node receives no further contributions (its
-    // pending count reached zero), so its accumulator is dead unless the
-    // caller asked for it. Erasing here returns value-mode buffers to the
-    // arena as soon as each node retires.
-    if (requested.count(node) == 0) {
-      accumulated.erase(acc_it);
-    } else {
-      acc_it->second = grad;
-    }
+  std::vector<bool> needs_input_grad;
+  std::vector<const size_t*> input_slots;
+  for (size_t i = num_nodes; i-- > 0;) {
+    Node* node = plan.order[i];
+    Accum& acc = accumulated[i];
+    // Unneeded nodes never get an accumulator; a needed node may receive
+    // none when an op backward returned no gradient for it.
+    if (!acc.graph.defined() && !acc.value.defined()) continue;
+    // Liveness: every consumer has fired, so the accumulator is dead
+    // unless the caller asked for it. Moving it out returns value-mode
+    // buffers to the arena as soon as each node retires.
+    const Accum grad = requested[i] ? acc : std::exchange(acc, Accum{});
     if (!node->backward) continue;  // leaf
+    needs_input_grad.assign(node->inputs.size(), false);
+    input_slots.assign(node->inputs.size(), nullptr);
+    bool any_needed = false;
+    for (size_t k = 0; k < node->inputs.size(); ++k) {
+      const size_t* slot = slot_of(node->inputs[k]);
+      if (slot == nullptr || !needed[*slot]) continue;
+      input_slots[k] = slot;
+      needs_input_grad[k] = true;
+      any_needed = true;
+    }
+    if (!any_needed) continue;  // a requested node the walk stops at
     const Variable grad_var =
         create_graph ? grad.graph : Constant(grad.value);
     const std::vector<Variable> input_grads =
-        node->backward(grad_var, node->inputs);
+        node->backward(grad_var, node->inputs, needs_input_grad);
     MSOPDS_CHECK_EQ(input_grads.size(), node->inputs.size())
         << "op " << node->op_name;
-    for (size_t i = 0; i < node->inputs.size(); ++i) {
-      Node* in = node->inputs[i].node().get();
-      if (in == nullptr || !in->requires_grad) continue;
-      const Variable& ig = input_grads[i];
-      if (ig.defined()) {
-        MSOPDS_CHECK(ig.value().SameShape(in->value))
-            << "gradient shape mismatch for input " << i << " of op "
-            << node->op_name << ": " << ig.value().DebugString(2) << " vs "
-            << in->value.DebugString(2);
-        accumulate(in, ig, ig.value());
-      }
-      auto pit = pending.find(in);
-      MSOPDS_CHECK(pit != pending.end());
-      if (--pit->second == 0) {
-        // Only schedule nodes that actually received gradient; nodes with
-        // no accumulated grad contribute nothing downstream.
-        if (accumulated.count(in) > 0) ready.emplace(in->seq, in);
-      }
+    for (size_t k = 0; k < node->inputs.size(); ++k) {
+      const Variable& ig = input_grads[k];
+      if (input_slots[k] == nullptr || !ig.defined()) continue;
+      const Tensor& in_value = node->inputs[k].value();
+      MSOPDS_CHECK(ig.value().SameShape(in_value))
+          << "gradient shape mismatch for input " << k << " of op "
+          << node->op_name << ": " << ig.value().DebugString(2) << " vs "
+          << in_value.DebugString(2);
+      accumulate(*input_slots[k], ig, ig.value());
     }
   }
 
@@ -185,15 +216,17 @@ BackwardOutputs WalkBackward(const Variable& output,
     outputs.values.reserve(inputs.size());
   }
   for (const Variable& input : inputs) {
-    auto it = accumulated.find(input.node().get());
-    const bool found = it != accumulated.end() && input.requires_grad();
+    const size_t* slot = slot_of(input);
+    const Accum* acc = slot == nullptr ? nullptr : &accumulated[*slot];
     if (create_graph) {
       outputs.graphs.push_back(
-          found ? it->second.graph
-                : Constant(Tensor::Zeros(input.value().shape())));
+          acc != nullptr && acc->graph.defined()
+              ? acc->graph
+              : Constant(Tensor::Zeros(input.value().shape())));
     } else {
-      outputs.values.push_back(found ? it->second.value
-                                     : Tensor::Zeros(input.value().shape()));
+      outputs.values.push_back(acc != nullptr && acc->value.defined()
+                                   ? acc->value
+                                   : Tensor::Zeros(input.value().shape()));
     }
   }
   return outputs;

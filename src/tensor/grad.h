@@ -17,19 +17,25 @@ namespace msopds {
 /// products in MSO). Inputs that the output does not depend on receive a
 /// zero gradient of the input's shape.
 ///
-/// The backward walk fires nodes in decreasing Node::seq order (a
-/// max-heap over creation order), which is one canonical
+/// The backward walk fires only the nodes on a path from `output` to a
+/// requested input, in decreasing Node::seq order, which is one canonical
 /// reverse-topological order: the order in which gradient contributions
-/// are added up is fixed by the recording alone.
+/// are added up is fixed by the recording alone. A requested node whose
+/// own inputs lead to no requested input is where the walk stops, so
+/// Grad(loss_t, {theta_t}) in a recorded unroll costs one step, not every
+/// step behind it. Each op backward gets a needs-gradient mask over its
+/// inputs (Node::BackwardFn) and computes only the gradients the walk
+/// needs. Pruning drops no contribution to a needed node, so the results
+/// are those of the full walk, bit for bit.
 std::vector<Variable> Grad(const Variable& output,
                            const std::vector<Variable>& inputs,
                            const Variable& grad_output = Variable());
 
 /// Detached gradient tensors (first-order only). Runs the value-mode
-/// walk directly: no gradient graph is recorded, accumulation is
-/// in-place where refcounts allow, and tape-walk temporaries go back to
-/// the arena eagerly. Bit-identical to calling Grad() and reading each
-/// gradient's value.
+/// walk directly, pruned and masked like Grad()'s: no gradient graph is
+/// recorded, accumulation is in-place where refcounts allow, and
+/// tape-walk temporaries go back to the arena eagerly. Bit-identical to
+/// calling Grad() and reading each gradient's value.
 std::vector<Tensor> GradValues(const Variable& output,
                                const std::vector<Variable>& inputs,
                                const Variable& grad_output = Variable());

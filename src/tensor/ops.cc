@@ -141,6 +141,18 @@ Variable ReduceLike(const Variable& grad, const Variable& input) {
   return reduced;
 }
 
+// The input gradients of a two-input op: calls grad_a() and grad_b() in
+// input order, each only when the walk needs that input's gradient, and
+// leaves the other undefined.
+template <typename GradA, typename GradB>
+std::vector<Variable> BinaryGrads(const std::vector<bool>& needs,
+                                  GradA&& grad_a, GradB&& grad_b) {
+  std::vector<Variable> grads(2);
+  if (needs[0]) grads[0] = grad_a();
+  if (needs[1]) grads[1] = grad_b();
+  return grads;
+}
+
 enum class BinaryKind { kAdd, kSub, kMul, kDiv };
 
 Tensor EvalBinary(BinaryKind kind, const Tensor& a, const Tensor& b) {
@@ -213,39 +225,47 @@ IndexVec MakeIndex(std::vector<int64_t> indices) {
 Variable Add(const Variable& a, const Variable& b) {
   return MakeOp("Add", EvalBinary(BinaryKind::kAdd, a.value(), b.value()),
                 {a, b},
-                [](const Variable& g, const std::vector<Variable>& in) {
-                  return std::vector<Variable>{ReduceLike(g, in[0]),
-                                               ReduceLike(g, in[1])};
+                [](const Variable& g, const std::vector<Variable>& in,
+                   const std::vector<bool>& needs) {
+                  return BinaryGrads(
+                      needs, [&] { return ReduceLike(g, in[0]); },
+                      [&] { return ReduceLike(g, in[1]); });
                 });
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
   return MakeOp("Sub", EvalBinary(BinaryKind::kSub, a.value(), b.value()),
                 {a, b},
-                [](const Variable& g, const std::vector<Variable>& in) {
-                  return std::vector<Variable>{ReduceLike(g, in[0]),
-                                               ReduceLike(Neg(g), in[1])};
+                [](const Variable& g, const std::vector<Variable>& in,
+                   const std::vector<bool>& needs) {
+                  return BinaryGrads(
+                      needs, [&] { return ReduceLike(g, in[0]); },
+                      [&] { return ReduceLike(Neg(g), in[1]); });
                 });
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
   return MakeOp("Mul", EvalBinary(BinaryKind::kMul, a.value(), b.value()),
                 {a, b},
-                [](const Variable& g, const std::vector<Variable>& in) {
-                  return std::vector<Variable>{
-                      ReduceLike(Mul(g, in[1]), in[0]),
-                      ReduceLike(Mul(g, in[0]), in[1])};
+                [](const Variable& g, const std::vector<Variable>& in,
+                   const std::vector<bool>& needs) {
+                  return BinaryGrads(
+                      needs, [&] { return ReduceLike(Mul(g, in[1]), in[0]); },
+                      [&] { return ReduceLike(Mul(g, in[0]), in[1]); });
                 });
 }
 
 Variable Div(const Variable& a, const Variable& b) {
   return MakeOp(
       "Div", EvalBinary(BinaryKind::kDiv, a.value(), b.value()), {a, b},
-      [](const Variable& g, const std::vector<Variable>& in) {
-        Variable ga = ReduceLike(Div(g, in[1]), in[0]);
-        Variable gb = ReduceLike(
-            Neg(Mul(g, Div(in[0], Mul(in[1], in[1])))), in[1]);
-        return std::vector<Variable>{std::move(ga), std::move(gb)};
+      [](const Variable& g, const std::vector<Variable>& in,
+         const std::vector<bool>& needs) {
+        return BinaryGrads(
+            needs, [&] { return ReduceLike(Div(g, in[1]), in[0]); },
+            [&] {
+              return ReduceLike(Neg(Mul(g, Div(in[0], Mul(in[1], in[1])))),
+                                in[1]);
+            });
       });
 }
 
@@ -255,7 +275,8 @@ Variable Neg(const Variable& a) {
                             simd::Neg(in, po, n);
                           });
   return MakeOp("Neg", std::move(out), {a},
-                [](const Variable& g, const std::vector<Variable>&) {
+                [](const Variable& g, const std::vector<Variable>&,
+                   const std::vector<bool>&) {
                   return std::vector<Variable>{Neg(g)};
                 });
 }
@@ -266,7 +287,8 @@ Variable ScalarMul(const Variable& a, double c) {
                             simd::Scale(in, c, po, n);
                           });
   return MakeOp("ScalarMul", std::move(out), {a},
-                [c](const Variable& g, const std::vector<Variable>&) {
+                [c](const Variable& g, const std::vector<Variable>&,
+                    const std::vector<bool>&) {
                   return std::vector<Variable>{ScalarMul(g, c)};
                 });
 }
@@ -277,7 +299,8 @@ Variable AddScalar(const Variable& a, double c) {
                             simd::Offset(in, c, po, n);
                           });
   return MakeOp("AddScalar", std::move(out), {a},
-                [](const Variable& g, const std::vector<Variable>&) {
+                [](const Variable& g, const std::vector<Variable>&,
+                   const std::vector<bool>&) {
                   return std::vector<Variable>{g};
                 });
 }
@@ -285,7 +308,8 @@ Variable AddScalar(const Variable& a, double c) {
 Variable Exp(const Variable& a) {
   Tensor out = UnaryKernel(a.value(), [](double x) { return std::exp(x); });
   return MakeOp("Exp", std::move(out), {a},
-                [](const Variable& g, const std::vector<Variable>& in) {
+                [](const Variable& g, const std::vector<Variable>& in,
+                   const std::vector<bool>&) {
                   // Recomputed so the gradient graph depends only on inputs.
                   return std::vector<Variable>{Mul(g, Exp(in[0]))};
                 });
@@ -294,7 +318,8 @@ Variable Exp(const Variable& a) {
 Variable Log(const Variable& a) {
   Tensor out = UnaryKernel(a.value(), [](double x) { return std::log(x); });
   return MakeOp("Log", std::move(out), {a},
-                [](const Variable& g, const std::vector<Variable>& in) {
+                [](const Variable& g, const std::vector<Variable>& in,
+                   const std::vector<bool>&) {
                   return std::vector<Variable>{Div(g, in[0])};
                 });
 }
@@ -307,7 +332,8 @@ Variable Sqrt(const Variable& a) {
                             simd::Sqrt(in, po, n);
                           });
   return MakeOp("Sqrt", std::move(out), {a},
-                [](const Variable& g, const std::vector<Variable>& in) {
+                [](const Variable& g, const std::vector<Variable>& in,
+                   const std::vector<bool>&) {
                   return std::vector<Variable>{
                       Div(g, ScalarMul(Sqrt(in[0]), 2.0))};
                 });
@@ -325,7 +351,8 @@ Variable Reshape(const Variable& a, std::vector<int64_t> shape) {
   });
   const std::vector<int64_t> original = a.value().shape();
   return MakeOp("Reshape", std::move(out), {a},
-                [original](const Variable& g, const std::vector<Variable>&) {
+                [original](const Variable& g, const std::vector<Variable>&,
+                           const std::vector<bool>&) {
                   return std::vector<Variable>{Reshape(g, original)};
                 });
 }
@@ -346,12 +373,16 @@ Variable Where(const Tensor& mask, const Variable& a, const Variable& b) {
   Tensor mask_copy = mask.Clone();
   return MakeOp(
       "Where", std::move(out), {a, b},
-      [mask_copy](const Variable& g, const std::vector<Variable>&) {
-        Tensor inv = mask_copy.Clone();
-        for (int64_t i = 0; i < inv.size(); ++i)
-          inv.data()[i] = inv.data()[i] != 0.0 ? 0.0 : 1.0;
-        return std::vector<Variable>{Mul(g, Constant(mask_copy)),
-                                     Mul(g, Constant(inv))};
+      [mask_copy](const Variable& g, const std::vector<Variable>&,
+                  const std::vector<bool>& needs) {
+        return BinaryGrads(
+            needs, [&] { return Mul(g, Constant(mask_copy)); },
+            [&] {
+              Tensor inv = mask_copy.Clone();
+              for (int64_t i = 0; i < inv.size(); ++i)
+                inv.data()[i] = inv.data()[i] != 0.0 ? 0.0 : 1.0;
+              return Mul(g, Constant(inv));
+            });
       });
 }
 
@@ -415,10 +446,11 @@ Variable MatMul(const Variable& a, const Variable& b) {
   // Transposed-layout kernels read A and B in their original layouts, so
   // the backward no longer materializes Transpose() copies per grad step.
   return MakeOp("MatMul", std::move(out), {a, b},
-                [](const Variable& g, const std::vector<Variable>& in) {
-                  return std::vector<Variable>{
-                      MatMulNT(g, in[1]),
-                      MatMulTN(in[0], g)};
+                [](const Variable& g, const std::vector<Variable>& in,
+                   const std::vector<bool>& needs) {
+                  return BinaryGrads(
+                      needs, [&] { return MatMulNT(g, in[1]); },
+                      [&] { return MatMulTN(in[0], g); });
                 });
 }
 
@@ -448,10 +480,11 @@ Variable MatMulNT(const Variable& a, const Variable& b) {
         }
       });
   return MakeOp("MatMulNT", std::move(out), {a, b},
-                [](const Variable& g, const std::vector<Variable>& in) {
-                  return std::vector<Variable>{
-                      MatMul(g, in[1]),
-                      MatMulTN(g, in[0])};
+                [](const Variable& g, const std::vector<Variable>& in,
+                   const std::vector<bool>& needs) {
+                  return BinaryGrads(
+                      needs, [&] { return MatMul(g, in[1]); },
+                      [&] { return MatMulTN(g, in[0]); });
                 });
 }
 
@@ -501,10 +534,11 @@ Variable MatMulTN(const Variable& a, const Variable& b) {
         }
       });
   return MakeOp("MatMulTN", std::move(out), {a, b},
-                [](const Variable& g, const std::vector<Variable>& in) {
-                  return std::vector<Variable>{
-                      MatMulNT(in[1], g),
-                      MatMul(in[0], g)};
+                [](const Variable& g, const std::vector<Variable>& in,
+                   const std::vector<bool>& needs) {
+                  return BinaryGrads(
+                      needs, [&] { return MatMulNT(in[1], g); },
+                      [&] { return MatMul(in[0], g); });
                 });
 }
 
@@ -523,14 +557,16 @@ Variable Transpose(const Variable& a) {
         }
       });
   return MakeOp("Transpose", std::move(out), {a},
-                [](const Variable& g, const std::vector<Variable>&) {
+                [](const Variable& g, const std::vector<Variable>&,
+                   const std::vector<bool>&) {
                   return std::vector<Variable>{Transpose(g)};
                 });
 }
 
 Variable Sum(const Variable& a) {
   return MakeOp("Sum", Tensor::Scalar(a.value().Sum()), {a},
-                [](const Variable& g, const std::vector<Variable>& in) {
+                [](const Variable& g, const std::vector<Variable>& in,
+                   const std::vector<bool>&) {
                   return std::vector<Variable>{
                       Mul(Constant(Tensor::Ones(in[0].value().shape())), g)};
                 });
@@ -558,7 +594,8 @@ Variable RowSum(const Variable& a) {
         }
       });
   return MakeOp("RowSum", std::move(out), {a},
-                [m](const Variable& g, const std::vector<Variable>&) {
+                [m](const Variable& g, const std::vector<Variable>&,
+                    const std::vector<bool>&) {
                   return std::vector<Variable>{TileCols(g, m)};
                 });
 }
@@ -580,7 +617,8 @@ Variable TileCols(const Variable& v, int64_t cols) {
         }
       });
   return MakeOp("TileCols", std::move(out), {v},
-                [](const Variable& g, const std::vector<Variable>&) {
+                [](const Variable& g, const std::vector<Variable>&,
+                   const std::vector<bool>&) {
                   return std::vector<Variable>{RowSum(g)};
                 });
 }
@@ -616,9 +654,11 @@ Variable ConcatCols(const Variable& a, const Variable& b) {
         }
       });
   return MakeOp("ConcatCols", std::move(out), {a, b},
-                [ca, cb](const Variable& g, const std::vector<Variable>&) {
-                  return std::vector<Variable>{SliceCols(g, 0, ca),
-                                               SliceCols(g, ca, ca + cb)};
+                [ca, cb](const Variable& g, const std::vector<Variable>&,
+                         const std::vector<bool>& needs) {
+                  return BinaryGrads(
+                      needs, [&] { return SliceCols(g, 0, ca); },
+                      [&] { return SliceCols(g, ca, ca + cb); });
                 });
 }
 
@@ -642,7 +682,8 @@ Variable SliceCols(const Variable& a, int64_t lo, int64_t hi) {
         }
       });
   return MakeOp("SliceCols", std::move(out), {a},
-                [lo, total](const Variable& g, const std::vector<Variable>&) {
+                [lo, total](const Variable& g, const std::vector<Variable>&,
+                            const std::vector<bool>&) {
                   return std::vector<Variable>{PadCols(g, lo, total)};
                 });
 }
@@ -666,7 +707,8 @@ Variable PadCols(const Variable& a, int64_t lo, int64_t total) {
         }
       });
   return MakeOp("PadCols", std::move(out), {a},
-                [lo, w](const Variable& g, const std::vector<Variable>&) {
+                [lo, w](const Variable& g, const std::vector<Variable>&,
+                        const std::vector<bool>&) {
                   return std::vector<Variable>{SliceCols(g, lo, lo + w)};
                 });
 }
@@ -684,7 +726,8 @@ Variable Pad1(const Variable& a, int64_t lo, int64_t total) {
     for (int64_t i = begin; i < end; ++i) po[lo + i] = pt[i];
   });
   return MakeOp("Pad1", std::move(out), {a},
-                [lo, w](const Variable& g, const std::vector<Variable>&) {
+                [lo, w](const Variable& g, const std::vector<Variable>&,
+                        const std::vector<bool>&) {
                   return std::vector<Variable>{Slice1(g, lo, lo + w)};
                 });
 }
@@ -708,9 +751,11 @@ Variable Concat1(const Variable& a, const Variable& b) {
     for (int64_t i = begin; i < end; ++i) po[na + i] = pb[i];
   });
   return MakeOp("Concat1", std::move(out), {a, b},
-                [na, nb](const Variable& g, const std::vector<Variable>&) {
-                  return std::vector<Variable>{Slice1(g, 0, na),
-                                               Slice1(g, na, na + nb)};
+                [na, nb](const Variable& g, const std::vector<Variable>&,
+                         const std::vector<bool>& needs) {
+                  return BinaryGrads(
+                      needs, [&] { return Slice1(g, 0, na); },
+                      [&] { return Slice1(g, na, na + nb); });
                 });
 }
 
@@ -728,7 +773,8 @@ Variable Slice1(const Variable& a, int64_t lo, int64_t hi) {
     for (int64_t i = begin; i < end; ++i) po[i] = pt[lo + i];
   });
   return MakeOp("Slice1", std::move(out), {a},
-                [lo, total](const Variable& g, const std::vector<Variable>&) {
+                [lo, total](const Variable& g, const std::vector<Variable>&,
+                            const std::vector<bool>&) {
                   return std::vector<Variable>{Pad1(g, lo, total)};
                 });
 }
@@ -756,7 +802,8 @@ Variable GatherRows(const Variable& x, const IndexVec& idx) {
         }
       });
   return MakeOp("GatherRows", std::move(out), {x},
-                [idx, n](const Variable& g, const std::vector<Variable>&) {
+                [idx, n](const Variable& g, const std::vector<Variable>&,
+                         const std::vector<bool>&) {
                   return std::vector<Variable>{ScatterAddRows(g, idx, n)};
                 });
 }
@@ -782,7 +829,8 @@ Variable ScatterAddRows(const Variable& g, const IndexVec& idx, int64_t rows) {
         }
       });
   return MakeOp("ScatterAddRows", std::move(out), {g},
-                [idx](const Variable& gg, const std::vector<Variable>&) {
+                [idx](const Variable& gg, const std::vector<Variable>&,
+                      const std::vector<bool>&) {
                   return std::vector<Variable>{GatherRows(gg, idx)};
                 });
 }
@@ -804,7 +852,8 @@ Variable Gather1(const Variable& x, const IndexVec& idx) {
     for (int64_t i = begin; i < end; ++i) po[i] = pt[src[i]];
   });
   return MakeOp("Gather1", std::move(out), {x},
-                [idx, n](const Variable& g, const std::vector<Variable>&) {
+                [idx, n](const Variable& g, const std::vector<Variable>&,
+                         const std::vector<bool>&) {
                   return std::vector<Variable>{ScatterAdd1(g, idx, n)};
                 });
 }
@@ -826,7 +875,8 @@ Variable ScatterAdd1(const Variable& g, const IndexVec& idx, int64_t size) {
         }
       });
   return MakeOp("ScatterAdd1", std::move(out), {g},
-                [idx](const Variable& gg, const std::vector<Variable>&) {
+                [idx](const Variable& gg, const std::vector<Variable>&,
+                      const std::vector<bool>&) {
                   return std::vector<Variable>{Gather1(gg, idx)};
                 });
 }
@@ -890,10 +940,11 @@ Variable SpMM(const IndexVec& dst, const IndexVec& src, const Variable& w,
       });
   return MakeOp(
       "SpMM", std::move(out), {w, x},
-      [dst, src, num_src](const Variable& g, const std::vector<Variable>& in) {
-        Variable gw = EdgeDot(g, in[1], dst, src);
-        Variable gx = SpMM(src, dst, in[0], g, num_src);
-        return std::vector<Variable>{std::move(gw), std::move(gx)};
+      [dst, src, num_src](const Variable& g, const std::vector<Variable>& in,
+                          const std::vector<bool>& needs) {
+        return BinaryGrads(
+            needs, [&] { return EdgeDot(g, in[1], dst, src); },
+            [&] { return SpMM(src, dst, in[0], g, num_src); });
       });
 }
 
@@ -930,10 +981,11 @@ Variable EdgeDot(const Variable& a, const Variable& b, const IndexVec& ai,
       });
   return MakeOp(
       "EdgeDot", std::move(out), {a, b},
-      [ai, bi, na, nb](const Variable& g, const std::vector<Variable>& in) {
-        Variable ga = SpMM(ai, bi, g, in[1], na);
-        Variable gb = SpMM(bi, ai, g, in[0], nb);
-        return std::vector<Variable>{std::move(ga), std::move(gb)};
+      [ai, bi, na, nb](const Variable& g, const std::vector<Variable>& in,
+                       const std::vector<bool>& needs) {
+        return BinaryGrads(
+            needs, [&] { return SpMM(ai, bi, g, in[1], na); },
+            [&] { return SpMM(bi, ai, g, in[0], nb); });
       });
 }
 

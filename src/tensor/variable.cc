@@ -11,7 +11,10 @@ namespace {
 
 std::atomic<uint64_t> g_node_seq{0};
 
-bool g_grad_recording = false;
+// Per thread: Grad() may walk on several threads at once (say, games
+// played in parallel), and each walk's scope must restore only its own
+// thread's flag.
+thread_local bool g_grad_recording = false;
 
 #ifndef NDEBUG
 bool g_leaf_mutation_guard = true;

@@ -21,9 +21,16 @@ namespace internal {
 /// gradient graph is differentiable again, giving exact higher-order
 /// derivatives (required by MSO's Hessian-vector products, Algorithm 1
 /// steps 9-10 of the paper).
+///
+/// `needs_input_grad` (parallel to `inputs`) is filled in by the backward
+/// walk: true for each input on a path to a gradient the caller asked
+/// for. A backward computes only those and returns an undefined Variable
+/// for every other input; the walk never calls it with an all-false mask.
+/// A single-input op may ignore the mask.
 struct Node {
   using BackwardFn = std::function<std::vector<Variable>(
-      const Variable& grad_output, const std::vector<Variable>& inputs)>;
+      const Variable& grad_output, const std::vector<Variable>& inputs,
+      const std::vector<bool>& needs_input_grad)>;
 
   Tensor value;
   bool requires_grad = false;
@@ -48,12 +55,11 @@ struct Node {
   bool in_grad_graph = false;
 
   /// Process-wide creation order (1, 2, 3, ...). A node's inputs always
-  /// carry smaller seq values than the node itself, so firing ready nodes
-  /// in decreasing seq order yields one canonical reverse-topological
+  /// carry smaller seq values than the node itself, so firing nodes in
+  /// decreasing seq order yields one canonical reverse-topological
   /// backward walk. Grad() relies on this: the walk order — and therefore
-  /// the floating-point fold of accumulated gradients — is independent of
-  /// how the graph was partitioned, which is what makes checkpointed
-  /// (segment-by-segment) backward bit-identical to the full walk.
+  /// the floating-point fold of accumulated gradients — is fixed by the
+  /// recording alone.
   uint64_t seq = 0;
 
   Node();
@@ -68,12 +74,14 @@ struct Node {
 /// this helper so the verifier's bookkeeping stays consistent.
 void AttachInputs(Node* node, std::vector<Variable> inputs);
 
-/// True while Grad() is recording backward ops; nodes recorded in that
-/// scope are tagged as gradient-graph consumers of their inputs.
+/// True while Grad() is recording backward ops on the calling thread;
+/// nodes recorded in that scope are tagged as gradient-graph consumers of
+/// their inputs.
 bool GradRecordingActive();
 
 /// RAII scope used by Grad() to tag recorded nodes as gradient-graph
-/// nodes. Nests (HVP calls Grad on a graph built by Grad).
+/// nodes. Nests (HVP calls Grad on a graph built by Grad). The flag is
+/// per thread, so scopes on different threads do not interact.
 class ScopedGradRecording {
  public:
   ScopedGradRecording();

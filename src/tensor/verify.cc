@@ -503,7 +503,8 @@ Variable MakeTestNode(const char* op_name, Tensor value,
   AttachInputs(node.get(), std::move(inputs));
   // A structurally valid (if useless) backward, so tests seeding one defect
   // (say, a shape mismatch) don't also trip the missing-backward check.
-  node->backward = [num_inputs](const Variable&, const std::vector<Variable>&) {
+  node->backward = [num_inputs](const Variable&, const std::vector<Variable>&,
+                                 const std::vector<bool>&) {
     return std::vector<Variable>(num_inputs);
   };
   return Variable::FromNode(std::move(node));

@@ -6,6 +6,9 @@
 // fits an MF surrogate first (PGA, RevAdv, Trial, PoisonRec). Trial and
 // PoisonRec use their surrogate only to rank candidate profiles, so a
 // small change to the surrogate fit can leave their games unchanged.
+// The game metrics see only the binarized plans, so the planners' own
+// traces are pinned as well: every MSO iteration's losses, gradient
+// norms and CG count, and the BOPDS opponent's losses.
 // `ctest -L golden` runs only this.
 //
 // A change that moves any value here changed a result. If the move is
@@ -25,6 +28,7 @@
 
 #include "attack/poison_plan.h"
 #include "attack/unrolled_surrogate.h"
+#include "core/bopds.h"
 #include "core/experiment.h"
 #include "core/msopds.h"
 #include "core/multiplayer_game.h"
@@ -36,17 +40,23 @@
 namespace msopds {
 namespace {
 
+// The opponents MSOPDS anticipates: every opponent of the game.
+std::vector<OpponentSpec> AnticipatedOpponents(const GameContext& context) {
+  std::vector<OpponentSpec> opponents;
+  for (size_t q = 1; q < context.demos.size(); ++q) {
+    OpponentSpec spec;
+    spec.demo = context.demos[q];
+    spec.budget_level = context.config.opponent_budget_level;
+    opponents.push_back(spec);
+  }
+  return opponents;
+}
+
 // MSOPDS with the fast planner, anticipating every opponent of the game.
 AttackFactory FastMsopdsFactory() {
   return [](const GameContext& context) -> std::unique_ptr<Attack> {
-    std::vector<OpponentSpec> opponents;
-    for (size_t q = 1; q < context.demos.size(); ++q) {
-      OpponentSpec spec;
-      spec.demo = context.demos[q];
-      spec.budget_level = context.config.opponent_budget_level;
-      opponents.push_back(spec);
-    }
-    return std::make_unique<Msopds>(FastMsopdsConfig(), opponents);
+    return std::make_unique<Msopds>(FastMsopdsConfig(),
+                                    AnticipatedOpponents(context));
   };
 }
 
@@ -113,6 +123,107 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GoldenTest::ParamType>& info) {
       return std::get<0>(info.param).name + "_threads" +
              std::to_string(std::get<1>(info.param));
+    });
+
+// The first two steps of MultiplayerGame::Run on the golden world
+// (budget 4, seed 2), keeping the planners' traces: MSOPDS with the fast
+// planner at three inner steps plans first, then the game's rating-only
+// BOPDS opponent plans against the poisoned world.
+struct PlannerTraces {
+  std::vector<MsoIterationStats> mso;
+  std::vector<double> bopds_losses;
+};
+
+PlannerTraces PlayPlanners() {
+  const Dataset base = TestWorld();
+  const GameConfig config = FastGameConfig();
+  Rng rng(2);
+  GameContext context;
+  context.base = &base;
+  context.demos = SampleDemographics(base, 1 + config.num_opponents, &rng);
+  context.config = config;
+
+  MsopdsConfig msopds_config = FastMsopdsConfig();
+  msopds_config.pds.inner_steps = 3;
+  Msopds attacker(msopds_config, AnticipatedOpponents(context));
+  Dataset world = base;
+  Rng attacker_rng = rng.Split();
+  attacker.Execute(&world, context.demos[0],
+                   AttackBudget::FromLevel(/*level=*/4, base), &attacker_rng);
+
+  BopdsConfig opponent_config;
+  opponent_config.pds = config.opponent_pds;
+  opponent_config.step = config.opponent_step;
+  opponent_config.iterations = config.opponent_iterations;
+  opponent_config.comprehensive = false;
+  opponent_config.demote = true;
+  opponent_config.preset_rating = kMinRating;
+  Bopds opponent(opponent_config);
+  AttackBudget opponent_budget =
+      AttackBudget::FromLevel(config.opponent_budget_level, world);
+  opponent_budget.promote_rating = kMinRating;
+  Rng opponent_rng = rng.Split();
+  opponent.Execute(&world, context.demos[1], opponent_budget, &opponent_rng);
+
+  return {attacker.last_history(), opponent.last_losses()};
+}
+
+struct GoldenMsoIteration {
+  double leader_loss;
+  double follower_loss;
+  double leader_grad_norm;
+  double implicit_term_norm;
+  int cg_iterations;
+};
+
+const GoldenMsoIteration kGoldenMsoIterations[] = {
+    {-0x1.2eabec009053cp-3, -0x1.c3cd6b5f915c5p-3, 0x1.fe96487ba6bcap-4,
+     0x1.2469aa4833b96p-8, 2},
+    {-0x1.2ae3eb7784e0cp-2, -0x1.803bbe7b11d3cp-4, 0x1.f17a2998e037dp-4,
+     0x1.0b1470f1cfcc1p-7, 2},
+    {-0x1.31b886f1620c8p-2, -0x1.8d5b22c85a955p-4, 0x1.ff45f2d29754cp-4,
+     0x1.122314a7b86f1p-7, 2},
+    {-0x1.30d72ba650f19p-2, -0x1.915c34f1bd349p-4, 0x1.00044edce96eap-3,
+     0x1.12d0920abbf17p-7, 2},
+};
+
+const double kGoldenBopdsLosses[] = {
+    0x1.566ad905767p-5, 0x1.4d371cd35fb89p-5, 0x1.4d371cd35fb89p-5};
+
+class GoldenPlannerTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GoldenPlannerTest, PlannerTracesAreBitExact) {
+  ThreadPool::Global().SetNumThreads(GetParam());
+  const PlannerTraces traces = PlayPlanners();
+  ThreadPool::Global().SetNumThreads(1);
+
+  ASSERT_EQ(traces.mso.size(), std::size(kGoldenMsoIterations));
+  for (size_t i = 0; i < traces.mso.size(); ++i) {
+    const MsoIterationStats& got = traces.mso[i];
+    const GoldenMsoIteration& want = kGoldenMsoIterations[i];
+    ASSERT_EQ(got.follower_losses.size(), 1u) << "iteration " << i;
+    EXPECT_EQ(Hex(got.leader_loss), Hex(want.leader_loss))
+        << "leader_loss, iteration " << i;
+    EXPECT_EQ(Hex(got.follower_losses[0]), Hex(want.follower_loss))
+        << "follower_loss, iteration " << i;
+    EXPECT_EQ(Hex(got.leader_grad_norm), Hex(want.leader_grad_norm))
+        << "leader_grad_norm, iteration " << i;
+    EXPECT_EQ(Hex(got.implicit_term_norm), Hex(want.implicit_term_norm))
+        << "implicit_term_norm, iteration " << i;
+    EXPECT_EQ(got.cg_iterations, want.cg_iterations)
+        << "cg_iterations, iteration " << i;
+  }
+  ASSERT_EQ(traces.bopds_losses.size(), std::size(kGoldenBopdsLosses));
+  for (size_t i = 0; i < traces.bopds_losses.size(); ++i) {
+    EXPECT_EQ(Hex(traces.bopds_losses[i]), Hex(kGoldenBopdsLosses[i]))
+        << "BOPDS loss " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MsopdsThenBopds, GoldenPlannerTest, ::testing::Values(1, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "threads" + std::to_string(info.param);
     });
 
 // OptimizeFakeRatings on a 30-user world: two fake users rate the

@@ -1,6 +1,15 @@
 #include "tensor/grad.h"
 
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "tensor/verify.h"
 
 namespace msopds {
 namespace {
@@ -117,11 +126,130 @@ TEST(GradTest, GradThroughUnrolledSgdStep) {
   EXPECT_NEAR(dt.item(), 0.36, 1e-12);
 }
 
+std::string Hex(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%a", value);
+  return buffer;
+}
+
+// Next node seq; the gap between two calls counts the nodes created in
+// between, plus one.
+uint64_t NextSeq() { return Constant(Tensor::Scalar(0.0)).node()->seq; }
+
+// A 6-step recorded SGD unroll like PdsSurrogate::TrainUnrolled: each step
+// takes Grad(loss_t, {theta_t}) and keeps its graph. The walk stops at
+// theta_t, so every inner Grad creates the same number of nodes however
+// many steps lie behind it. The outer gradient through the whole unroll
+// is pinned bit for bit.
+TEST(GradTest, InnerGradsOfAnUnrollDoEqualWork) {
+  Variable x = Param(Tensor::FromVector({0.5, -1.0, 2.0}));
+  const Variable target = Constant(Tensor::FromVector({1.5, 0.25, -0.75}));
+  Variable theta = ScalarMul(x, 0.5);
+  std::vector<uint64_t> created;
+  for (int step = 0; step < 6; ++step) {
+    Variable loss = Sum(Square(Sub(theta, target)));
+    const uint64_t before = NextSeq();
+    Variable g = Grad(loss, {theta})[0];
+    created.push_back(NextSeq() - before);
+    theta = Sub(theta, ScalarMul(g, 0.1));
+  }
+  for (size_t step = 1; step < created.size(); ++step) {
+    EXPECT_EQ(created[step], created[0]) << "inner Grad at step " << step;
+  }
+
+  const Tensor outer = GradValues(Sum(Square(theta)), {x})[0];
+  const double expected[] = {0x1.3ab1378b28b2ep-2, 0x1.caa23fe9bf006p-7,
+                             -0x1.38b9a40116f0bp-4};
+  ASSERT_EQ(outer.size(), 3);
+  for (int64_t i = 0; i < outer.size(); ++i) {
+    EXPECT_EQ(Hex(outer.at(i)), Hex(expected[i])) << "element " << i;
+  }
+}
+
+// Each op backward is told which input gradients the walk needs: of a
+// requested Param, an unrequested Param and a Constant, only the first.
+TEST(GradTest, BackwardIsHandedTheNeedsInputGradMask) {
+  std::vector<bool> mask;
+  Variable wanted = Param(Tensor::FromVector({1.0, 2.0}));
+  Variable unwanted = Param(Tensor::FromVector({3.0, 4.0}));
+  Variable constant = Constant(Tensor::FromVector({5.0, 6.0}));
+  Variable probe = internal::MakeTestNode(
+      "Probe", Tensor::Zeros({2}), {wanted, unwanted, constant},
+      /*requires_grad=*/true);
+  probe.node()->backward = [&mask](const Variable& g,
+                                   const std::vector<Variable>&,
+                                   const std::vector<bool>& needs) {
+    mask = needs;
+    return std::vector<Variable>{g, Variable(), Variable()};
+  };
+  const Tensor grad = GradValues(Sum(probe), {wanted})[0];
+  EXPECT_EQ(mask, (std::vector<bool>{true, false, false}));
+  EXPECT_TRUE(AllClose(grad, Tensor::Ones({2})));
+}
+
+// A requested node whose inputs lead to no requested input is where the
+// walk stops: its backward does not run.
+TEST(GradTest, RequestedNodeWithoutNeededInputsDoesNotRunItsBackward) {
+  int calls = 0;
+  Variable x = Param(Tensor::FromVector({1.0, 2.0}));
+  Variable y = internal::MakeTestNode("Probe", Tensor::FromVector({3.0, 4.0}),
+                                      {x}, /*requires_grad=*/true);
+  y.node()->backward = [&calls](const Variable& g,
+                                const std::vector<Variable>&,
+                                const std::vector<bool>&) {
+    ++calls;
+    return std::vector<Variable>{g};
+  };
+  Variable out = Sum(Mul(y, y));
+  const Tensor dy = GradValues(out, {y})[0];
+  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(AllClose(dy, Tensor::FromVector({6.0, 8.0})));
+  GradValues(out, {y, x});
+  EXPECT_EQ(calls, 1);
+}
+
 TEST(GradTest, GradValuesDetaches) {
   Variable x = Param(Tensor::Scalar(2.0));
   Variable y = Mul(x, x);
   const std::vector<Tensor> grads = GradValues(y, {x});
   EXPECT_DOUBLE_EQ(grads[0].item(), 4.0);
+}
+
+// The gradient-recording flag belongs to the thread that opened the
+// scope. Replays an interleaving in which thread A opens a scope, thread B
+// opens one, A closes first and B second: a process-wide flag would be
+// restored to B's snapshot (set) and tag every later forward op as a
+// gradient-graph consumer, tripping the leaf-mutation guard.
+TEST(GradTest, RecordingScopesOnTwoThreadsDoNotLeakTheFlag) {
+  std::atomic<int> step{0};
+  auto await = [&step](int target) {
+    while (step.load() < target) std::this_thread::yield();
+  };
+  std::thread a([&] {
+    {
+      internal::ScopedGradRecording scope;
+      step.store(1);
+      await(2);
+    }
+    step.store(3);
+  });
+  std::thread b([&] {
+    await(1);
+    internal::ScopedGradRecording scope;
+    step.store(2);
+    await(3);
+  });
+  a.join();
+  b.join();
+
+  EXPECT_FALSE(internal::GradRecordingActive());
+  Variable x = Param(Tensor::FromVector({1.0, 2.0}));
+  Variable y = Mul(x, x);
+  ASSERT_FALSE(y.node()->in_grad_graph);
+  const bool previous_guard = internal::SetLeafMutationGuard(true);
+  x.mutable_value().data()[0] = 3.0;
+  internal::SetLeafMutationGuard(previous_guard);
+  EXPECT_DOUBLE_EQ(x.value().at(0), 3.0);
 }
 
 }  // namespace

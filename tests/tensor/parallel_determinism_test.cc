@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -169,6 +170,57 @@ TEST(ParallelDeterminismTest, LargeReductionMultiChunk) {
     std::vector<Variable> params = {Param(x0.Clone())};
     return ForwardAndGrads(Sum(Mul(params[0], params[0])), params);
   });
+}
+
+// First- and second-order reverse mode over one small graph: the
+// graph-mode gradient, a Hessian-vector product through it, and the
+// value-mode gradient.
+std::vector<Tensor> GradHvpAndValues(uint64_t seed) {
+  Rng rng(seed);
+  const Tensor x0 = RandomTensor({6, 8}, &rng);
+  const Tensor w0 = RandomTensor({8, 5}, &rng);
+  const Tensor v = RandomTensor({8, 5}, &rng);
+  Variable w = Param(w0.Clone());
+  Variable loss = Sum(Square(Sigmoid(MatMul(Constant(x0.Clone()), w))));
+  Variable grad = Grad(loss, {w})[0];
+  std::vector<Tensor> results = {grad.value().Clone(),
+                                 HessianVectorProduct(grad, w, v)};
+  for (Tensor& g : GradValues(loss, {w})) results.push_back(std::move(g));
+  return results;
+}
+
+// Backward walks on two threads at once, each over its own graph, give
+// the single-thread results bit for bit. Under ThreadSanitizer this
+// race-checks the state the walks share (node seqs, the recording flag,
+// the arena). The kernel pool takes one top-level region at a time, so
+// the kernels run inline on each walking thread.
+TEST(ParallelDeterminismTest, ConcurrentBackwardWalksMatchSerialWalks) {
+  ThreadPool::Global().SetNumThreads(1);
+  constexpr int kRepeats = 20;
+  const uint64_t seeds[2] = {41, 42};
+  const std::vector<Tensor> serial[2] = {GradHvpAndValues(seeds[0]),
+                                         GradHvpAndValues(seeds[1])};
+  std::vector<std::vector<Tensor>> concurrent[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&concurrent, &seeds, t] {
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        concurrent[t].push_back(GradHvpAndValues(seeds[t]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_EQ(concurrent[t].size(), static_cast<size_t>(kRepeats));
+    for (const std::vector<Tensor>& got : concurrent[t]) {
+      ASSERT_EQ(got.size(), serial[t].size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(BitIdentical(serial[t][i], got[i]))
+            << "thread " << t << " tensor " << i;
+      }
+    }
+  }
 }
 
 // End-to-end acceptance criterion: one full TrainModel run produces

@@ -17,7 +17,8 @@
 # - a sanitizer matrix: MSOPDS_SANITIZE=address/undefined, each running
 #   the full suite plus a multi-threaded pass over the `parallel` label,
 #   and a ThreadSanitizer build running the `serve` label (and with it
-#   `serve_fault`), so the engine's hot-swap and overload paths are
+#   `serve_fault`) and the `parallel` label, so the engine's hot-swap and
+#   overload paths, the kernel pool and concurrent backward walks are
 #   race-checked when the toolchain ships TSan;
 # - the Python-free lint.
 # Prints a per-stage summary table and exits non-zero if any stage
@@ -249,10 +250,11 @@ if [ $SANITIZERS -eq 1 ]; then
   # ThreadSanitizer leg: the serving engine is the repo's first
   # reader/writer-concurrent code path, so its hot-swap must be checked
   # by a race detector, not only by assertions. TSan and ASan cannot
-  # share a build, hence a dedicated tree running the `serve` label. The
-  # regex also matches `serve_fault`: rejection, shedding, degraded
-  # routing and retry/backoff cross the queue mutex and the
-  # snapshot/fallback slots concurrently, so they are race-checked too.
+  # share a build, hence a dedicated tree running the `serve` and
+  # `parallel` labels. `serve` also matches `serve_fault`: rejection,
+  # shedding, degraded routing and retry/backoff cross the queue mutex
+  # and the snapshot/fallback slots concurrently. `parallel` covers the
+  # kernel pool and backward walks running on two threads at once.
   if echo 'int main(){return 0;}' | g++ -x c++ -fsanitize=thread - \
        -o /tmp/msopds_tsan_probe$$ > /dev/null 2>&1; then
     rm -f /tmp/msopds_tsan_probe$$
@@ -263,17 +265,17 @@ if [ $SANITIZERS -eq 1 ]; then
     }
     run_stage "build-thread" build_thread
     if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
-      ctest_thread_serve() {
-        MSOPDS_THREADS=4 ctest --test-dir build-thread -L serve \
+      ctest_thread_serve_parallel() {
+        MSOPDS_THREADS=4 ctest --test-dir build-thread -L 'serve|parallel' \
           --output-on-failure -j
       }
-      run_stage "ctest-thread-serve" ctest_thread_serve
+      run_stage "ctest-thread-serve-parallel" ctest_thread_serve_parallel
     else
-      skip_stage "ctest-thread-serve" "build failed"
+      skip_stage "ctest-thread-serve-parallel" "build failed"
     fi
   else
     skip_stage "build-thread" "toolchain has no TSan runtime"
-    skip_stage "ctest-thread-serve" "toolchain has no TSan runtime"
+    skip_stage "ctest-thread-serve-parallel" "toolchain has no TSan runtime"
   fi
 else
   skip_stage "sanitizers" "--no-sanitizers"
