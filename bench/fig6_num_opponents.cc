@@ -14,53 +14,27 @@ namespace {
 int Main(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
   flags.repeats = flags.ResolveRepeats(1);
-  const std::vector<std::string> methods =
-      flags.methods.empty() ? StandardMethods() : flags.methods;
+  if (flags.methods.empty()) flags.methods = StandardMethods();
   const int attacker_budget = 5;
 
-  std::printf(
+  PaperSweep sweep;
+  sweep.title = StrFormat(
       "=== Fig. 6: number of opponents (b = %d, b_op = 2), scale %.2f ===\n",
       attacker_budget, flags.scale);
-
-  SweepRunner runner(flags);
-  for (const std::string& dataset_name : flags.datasets) {
-    const Dataset base =
-        MakeExperimentDataset(dataset_name, flags.scale, flags.seed);
-    std::printf("\n[%s] %s\n", dataset_name.c_str(), base.Summary().c_str());
-    std::vector<std::string> columns;
-    for (int n : flags.opponents) columns.push_back(StrFormat("N=%d", n));
-    PrintHeader("method", columns);
-
-    std::vector<double> msopds_series;
-    std::vector<double> best_baseline_series(flags.opponents.size(), 0.0);
-    for (const std::string& method : methods) {
-      std::vector<CellRecord> row;
-      for (size_t i = 0; i < flags.opponents.size(); ++i) {
-        GameConfig config = DefaultGameConfig();
-        config.num_opponents = flags.opponents[i];
-        MultiplayerGame game(base, config);
-        const CellRecord cell = runner.Cell(
-            StrFormat("%s|%s|N=%d", dataset_name.c_str(), method.c_str(),
-                      flags.opponents[i]),
-            game, method, attacker_budget, flags.seed + 1, flags.repeats);
-        if (method == "MSOPDS") {
-          msopds_series.push_back(cell.mean_average_rating);
-        } else {
-          best_baseline_series[i] =
-              std::max(best_baseline_series[i], cell.mean_average_rating);
-        }
-        row.push_back(cell);
-      }
-      PrintRow(method, row);
-    }
-    if (msopds_series.size() == flags.opponents.size()) {
+  for (int n : flags.opponents) {
+    GameConfig config = DefaultGameConfig();
+    config.num_opponents = n;
+    sweep.columns.push_back({StrFormat("N=%d", n), config, attacker_budget});
+  }
+  sweep.after_table = [&](const SweepTable& table) {
+    double msopds_drop = 0.0, baseline_drop = 0.0;
+    if (RbarDrops(flags.methods, table, &msopds_drop, &baseline_drop)) {
       std::printf("  -> MSOPDS rbar drop over opponent sweep: %.4f; best "
                   "baseline drop: %.4f (paper: MSOPDS degrades less)\n",
-                  msopds_series.front() - msopds_series.back(),
-                  best_baseline_series.front() - best_baseline_series.back());
+                  msopds_drop, baseline_drop);
     }
-  }
-  return 0;
+  };
+  return RunPaperSweep(argc, argv, flags, sweep);
 }
 
 }  // namespace

@@ -20,34 +20,21 @@ int Main(int argc, char** argv) {
   if (flags.methods.empty()) flags.methods = Fig9Methods();
   if (flags.datasets.size() == 3) flags.datasets = {"epinions"};
 
-  std::printf(
+  PaperSweep sweep;
+  sweep.title = StrFormat(
       "=== Fig. 9: real users vs fake accounts (one opponent), scale %.2f "
       "===\n",
       flags.scale);
-
-  SweepRunner runner(flags);
-  for (const std::string& dataset_name : flags.datasets) {
-    const Dataset base =
-        MakeExperimentDataset(dataset_name, flags.scale, flags.seed);
-    std::printf("\n[%s] %s\n", dataset_name.c_str(), base.Summary().c_str());
-    std::vector<std::string> columns;
-    for (int b : flags.budgets) columns.push_back(StrFormat("b=%d", b));
-    PrintHeader("variant", columns);
-
-    MultiplayerGame game(base, DefaultGameConfig());
-    for (const std::string& method : flags.methods) {
-      std::vector<CellRecord> row;
-      for (int b : flags.budgets) {
-        row.push_back(runner.Cell(
-            StrFormat("%s|%s|b=%d", dataset_name.c_str(), method.c_str(), b),
-            game, method, b, flags.seed + 1, flags.repeats));
-      }
-      PrintRow(method, row);
-    }
+  sweep.row_header = "variant";
+  for (int b : flags.budgets) {
+    sweep.columns.push_back({StrFormat("b=%d", b), DefaultGameConfig(), b});
   }
-  std::printf(
-      "\nExpected ordering (paper): combined >= real-only >= fake-only.\n");
-  return 0;
+  sweep.after_all = [] {
+    std::printf(
+        "\nExpected ordering (paper): combined >= real-only >= "
+        "fake-only.\n");
+  };
+  return RunPaperSweep(argc, argv, flags, sweep);
 }
 
 }  // namespace

@@ -44,10 +44,6 @@
 #include "util/rng.h"
 #include "util/string_util.h"
 
-#if defined(__linux__)
-#include <unistd.h>
-#endif
-
 namespace msopds {
 namespace {
 
@@ -262,18 +258,6 @@ int TrainPhase(const ScaleBenchFlags& flags) {
        {"final_loss", result.value().final_loss},
        {"healthy", result.value().healthy ? 1.0 : 0.0}});
   return 0;
-}
-
-std::string SelfExecutable(const char* argv0) {
-#if defined(__linux__)
-  char buffer[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  if (n > 0) {
-    buffer[n] = '\0';
-    return buffer;
-  }
-#endif
-  return argv0;
 }
 
 struct PhaseOutcome {

@@ -14,40 +14,22 @@ namespace {
 int Main(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
   flags.repeats = flags.ResolveRepeats(2);
-  const std::vector<std::string> methods =
-      flags.methods.empty() ? StandardMethods() : flags.methods;
+  if (flags.methods.empty()) flags.methods = StandardMethods();
 
-  std::printf(
+  PaperSweep sweep;
+  sweep.title = StrFormat(
       "=== Table III: single opponent (b_op = 2), scale %.2f, %d "
       "repeat(s) ===\n",
       flags.scale, flags.repeats);
+  for (int b : flags.budgets) {
+    sweep.columns.push_back({StrFormat("b=%d", b), DefaultGameConfig(), b});
+  }
 
-  SweepRunner runner(flags);
+  // Win count: is MSOPDS best-or-tied per (budget, metric) cell?
   int msopds_best_cells = 0;
   int total_cells = 0;
-  for (const std::string& dataset_name : flags.datasets) {
-    const Dataset base =
-        MakeExperimentDataset(dataset_name, flags.scale, flags.seed);
-    std::printf("\n[%s] %s\n", dataset_name.c_str(),
-                base.Summary().c_str());
-    std::vector<std::string> columns;
-    for (int b : flags.budgets) columns.push_back(StrFormat("b=%d", b));
-    PrintHeader("method", columns);
-
-    MultiplayerGame game(base, DefaultGameConfig());
-    std::vector<std::vector<CellRecord>> table;
-    for (const std::string& method : methods) {
-      std::vector<CellRecord> row;
-      for (int b : flags.budgets) {
-        row.push_back(runner.Cell(
-            StrFormat("%s|%s|b=%d", dataset_name.c_str(), method.c_str(), b),
-            game, method, b, flags.seed + 1, flags.repeats));
-      }
-      PrintRow(method, row);
-      table.push_back(std::move(row));
-    }
-
-    // Win count: is MSOPDS best-or-tied per (budget, metric) cell?
+  sweep.after_table = [&](const SweepTable& table) {
+    const std::vector<std::string>& methods = flags.methods;
     size_t msopds_row = methods.size();
     for (size_t row = 0; row < methods.size(); ++row) {
       if (methods[row] == "MSOPDS") msopds_row = row;
@@ -70,12 +52,15 @@ int Main(int argc, char** argv) {
         }
       }
     }
-  }
-  std::printf(
-      "\nSummary: MSOPDS best or tied in %d/%d (budget x metric x dataset) "
-      "cells; the paper reports it best in every cell of Table III.\n",
-      msopds_best_cells, total_cells);
-  return 0;
+  };
+  sweep.after_all = [&] {
+    std::printf(
+        "\nSummary: MSOPDS best or tied in %d/%d (budget x metric x "
+        "dataset) cells; the paper reports it best in every cell of Table "
+        "III.\n",
+        msopds_best_cells, total_cells);
+  };
+  return RunPaperSweep(argc, argv, flags, sweep);
 }
 
 }  // namespace

@@ -78,11 +78,13 @@ class SweepOrchestrator {
   StatusOr<OrchestratorResult> RunInline(const std::vector<std::string>& keys,
                                          const CellExecutor& executor);
 
- private:
-  /// Loads every segment under work_dir; fills key -> completed records.
+  /// Loads every segment under work_dir: the cells a Run or RunInline
+  /// would resume, each with the path of its segment (the record's
+  /// source_line is its row there).
   Status ScanSegments(
       std::vector<std::pair<std::string, CellRecord>>* records) const;
 
+ private:
   /// Deterministic merge of all segment records into
   /// work_dir/sweep.ckpt, in `keys` order. Duplicates that agree modulo
   /// worker_id keep the smallest worker_id; disagreeing duplicates
@@ -96,7 +98,7 @@ class SweepOrchestrator {
 /// Worker side of the protocol: reads "CELL <key>" lines from `in`,
 /// executes each, appends the record to `segment`, answers "DONE <key>"
 /// on `out`. Returns 0 on clean EOF (orchestrator closed stdin), 1 on a
-/// malformed command. sweep_runner wires this to its --worker mode.
+/// malformed command. A paper bench started with --segment= runs this.
 int RunWorkerLoop(std::istream& in, std::ostream& out,
                   CheckpointStore* segment, int worker_id,
                   const CellExecutor& executor);

@@ -232,7 +232,6 @@ StatusOr<CellRecord> ParseCellRecord(const std::string& line,
 }
 
 CheckpointStore::CheckpointStore(std::string path) : path_(std::move(path)) {
-  if (path_.empty()) return;
   std::ifstream in(path_);
   if (!in.is_open()) return;  // first run: nothing to resume
   std::string line;
@@ -260,12 +259,6 @@ CheckpointStore::CheckpointStore(std::string path) : path_(std::move(path)) {
   }
 }
 
-const CellRecord* CheckpointStore::Find(const std::string& key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  return &records_[it->second];
-}
-
 void CheckpointStore::Append(const CellRecord& record) {
   MSOPDS_CHECK(!record.key.empty()) << "checkpoint records need a key";
   auto [it, inserted] = index_.emplace(record.key, records_.size());
@@ -274,7 +267,6 @@ void CheckpointStore::Append(const CellRecord& record) {
   } else {
     records_[it->second] = record;
   }
-  if (path_.empty()) return;
   std::ofstream out(path_, std::ios::app);
   MSOPDS_CHECK(out.is_open()) << "cannot append checkpoint to " << path_;
   out << CellRecordToJson(record) << '\n';

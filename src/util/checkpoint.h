@@ -54,31 +54,21 @@ std::string CellRecordToJson(const CellRecord& record);
 StatusOr<CellRecord> ParseCellRecord(const std::string& line,
                                      const std::string& context = "");
 
-/// Append-only JSONL checkpoint store backing resumable benchmark
-/// sweeps. Construction loads any existing records from `path` (missing
-/// file = empty store; a torn trailing line from a crash mid-write is
-/// dropped with a warning). Append() writes one line and flushes, so a
-/// killed process loses at most the cell in flight. Duplicate keys keep
-/// the last record.
-///
-/// An empty path disables persistence: the store works purely in memory,
-/// which lets the same driver code run with and without checkpointing.
+/// Append-only JSONL checkpoint store: one sweep segment or a merged
+/// sweep checkpoint. Construction loads any existing records from `path`
+/// (missing file = empty store; a torn trailing line from a crash
+/// mid-write is dropped with a warning). Append() writes one line and
+/// flushes, so a killed process loses at most the cell in flight.
+/// Duplicate keys keep the last record.
 class CheckpointStore {
  public:
   explicit CheckpointStore(std::string path);
-
-  const std::string& path() const { return path_; }
-  bool persistent() const { return !path_.empty(); }
-  size_t size() const { return records_.size(); }
-
-  /// Record for `key`, or nullptr when the cell has not completed yet.
-  const CellRecord* Find(const std::string& key) const;
 
   /// All records in insertion order (duplicates already collapsed to the
   /// last write). The orchestrator's segment merge iterates this.
   const std::vector<CellRecord>& records() const { return records_; }
 
-  /// Records one completed cell (and persists it when backed by a file).
+  /// Records one completed cell and appends it to the file.
   void Append(const CellRecord& record);
 
  private:

@@ -176,30 +176,38 @@ void ThreadPool::ParallelFor(
     const std::function<void(int64_t, int64_t, int64_t)>& fn) {
   const int64_t num_chunks = NumChunks(total, grain);
   if (num_chunks == 0) return;
-  // Serial fast path: one chunk, a serial pool, or a nested call. Same
-  // grid, same per-chunk code, executed inline in chunk order.
-  if (num_chunks == 1 || num_threads_ == 1 || tls_in_parallel_region ||
-      workers_.empty()) {
+  std::shared_ptr<Job> job;
+  if (num_chunks > 1 && num_threads_ > 1 && !tls_in_parallel_region &&
+      !workers_.empty()) {
+    MutexLock lock(mu_);
+    // Another caller's region holds the pool: this one takes the serial
+    // path below instead of waiting for it.
+    if (job_ == nullptr) {
+      job = std::make_shared<Job>();
+      job->fn = &fn;
+      job->total = total;
+      job->grain = grain;
+      job->num_chunks = num_chunks;
+      job_ = job;
+    }
+  }
+  // Serial path: one chunk, a serial pool, a nested call or a busy pool.
+  // Same grid, same per-chunk code, executed inline in chunk order.
+  if (job == nullptr) {
     const bool was_inside = tls_in_parallel_region;
     tls_in_parallel_region = true;
-    for (int64_t chunk = 0; chunk < num_chunks; ++chunk) {
-      const int64_t begin = chunk * grain;
-      const int64_t end = std::min(begin + grain, total);
-      fn(begin, end, chunk);
+    try {
+      for (int64_t chunk = 0; chunk < num_chunks; ++chunk) {
+        const int64_t begin = chunk * grain;
+        const int64_t end = std::min(begin + grain, total);
+        fn(begin, end, chunk);
+      }
+    } catch (...) {
+      tls_in_parallel_region = was_inside;  // a failed region still ends
+      throw;
     }
     tls_in_parallel_region = was_inside;
     return;
-  }
-
-  auto job = std::make_shared<Job>();
-  job->fn = &fn;
-  job->total = total;
-  job->grain = grain;
-  job->num_chunks = num_chunks;
-  {
-    MutexLock lock(mu_);
-    MSOPDS_CHECK(job_ == nullptr) << "concurrent top-level ParallelFor";
-    job_ = job;
   }
   job_cv_.NotifyAll();
 

@@ -44,8 +44,9 @@ double PairwiseSum(std::vector<double> partials);
 /// does not throw) is captured, the region is cancelled, and the
 /// lowest-indexed captured exception is rethrown on the calling thread.
 ///
-/// Nested parallelism is rejected: a ParallelFor issued from inside a
-/// worker (or from inside another region on the calling thread) runs its
+/// The pool runs one region at a time. A ParallelFor issued from inside
+/// a worker (or from inside another region on the calling thread), or
+/// one issued while another caller's region holds the pool, runs its
 /// chunks inline and serially — same grid, same results, no deadlock.
 class ThreadPool {
  public:

@@ -285,5 +285,55 @@ INSTANTIATE_TEST_SUITE_P(
       return "threads" + std::to_string(info.param);
     });
 
+// A Table III slice as the paper bench computes it: the Ciao profile at
+// scale 0.02, the default game, one repeat at seed 8. These are the cells
+// `table3_single_opponent --datasets=ciao --scale=0.02 --budgets=2,3
+// --methods=None,Random,PGA,MSOPDS --repeats=1` prints.
+struct GoldenCell {
+  std::string method;
+  int budget_level;
+  double mean_average_rating;
+  double mean_hit_rate;
+};
+
+const GoldenCell kGoldenTable3Cells[] = {
+    {"None", 2, 0x1p+0, 0x0p+0},
+    {"None", 3, 0x1p+0, 0x0p+0},
+    {"Random", 2, 0x1.0814350b2fedap+0, 0x0p+0},
+    {"Random", 3, 0x1.89752b5f1dc14p+0, 0x0p+0},
+    {"PGA", 2, 0x1.0814350b2fedap+0, 0x0p+0},
+    {"PGA", 3, 0x1.8a81bc141e034p+1, 0x1p-1},
+    {"MSOPDS", 2, 0x1.3fdf566399aeap+2, 0x0p+0},
+    {"MSOPDS", 3, 0x1.34ce5df949984p+2, 0x1p-1},
+};
+
+class GoldenTable3Test : public ::testing::TestWithParam<int> {};
+
+TEST_P(GoldenTable3Test, CiaoSliceIsBitExact) {
+  ThreadPool::Global().SetNumThreads(GetParam());
+  const MultiplayerGame game(MakeExperimentDataset("ciao", 0.02, 7),
+                             DefaultGameConfig());
+  for (const GoldenCell& golden : kGoldenTable3Cells) {
+    const CellOutcome outcome =
+        RunRepeatedCellChecked(game, golden.method, golden.budget_level,
+                               /*seed=*/8, /*repeats=*/1);
+    const std::string cell =
+        golden.method + " b=" + std::to_string(golden.budget_level);
+    EXPECT_TRUE(outcome.ok) << cell << ": " << outcome.error;
+    EXPECT_EQ(Hex(outcome.stats.mean_average_rating),
+              Hex(golden.mean_average_rating))
+        << "rbar, " << cell;
+    EXPECT_EQ(Hex(outcome.stats.mean_hit_rate), Hex(golden.mean_hit_rate))
+        << "HR@3, " << cell;
+  }
+  ThreadPool::Global().SetNumThreads(1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CiaoScale002, GoldenTable3Test, ::testing::Values(1, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "threads" + std::to_string(info.param);
+    });
+
 }  // namespace
 }  // namespace msopds

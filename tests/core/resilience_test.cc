@@ -41,6 +41,15 @@ std::string CellKey(const Cell& cell) {
   return cell.method + "|b=" + std::to_string(cell.budget);
 }
 
+// The record `store` holds for `key`, or nullptr.
+const CellRecord* FindRecord(const CheckpointStore& store,
+                             const std::string& key) {
+  for (const CellRecord& record : store.records()) {
+    if (record.key == key) return &record;
+  }
+  return nullptr;
+}
+
 // One sweep pass over `cells`, skipping completed cells in `store` and
 // stopping after `max_cells` fresh executions (simulated interrupt).
 // Returns the number of cells actually executed.
@@ -48,7 +57,7 @@ int RunSweep(const MultiplayerGame& game, CheckpointStore* store,
              int max_cells) {
   int executed = 0;
   for (const Cell& cell : SweepCells()) {
-    if (store->Find(CellKey(cell)) != nullptr) continue;
+    if (FindRecord(*store, CellKey(cell)) != nullptr) continue;
     if (executed >= max_cells) break;  // simulated crash between cells
     const CellOutcome outcome =
         RunRepeatedCellChecked(game, cell.method, cell.budget, /*seed=*/8,
@@ -71,10 +80,13 @@ TEST(ResilienceTest, InterruptedSweepResumesToIdenticalRecords) {
   const Dataset world = TinyWorld();
   const MultiplayerGame game(world, FastGameConfig());
   const std::string path = testing::TempDir() + "/resume_sweep.jsonl";
+  const std::string reference_path =
+      testing::TempDir() + "/resume_sweep_reference.jsonl";
   std::remove(path.c_str());
+  std::remove(reference_path.c_str());
 
-  // Uninterrupted reference sweep (in memory).
-  CheckpointStore reference("");
+  // Uninterrupted reference sweep.
+  CheckpointStore reference(reference_path);
   EXPECT_EQ(RunSweep(game, &reference, 1000), 4);
 
   // Interrupted after two cells, then resumed from the file.
@@ -84,17 +96,17 @@ TEST(ResilienceTest, InterruptedSweepResumesToIdenticalRecords) {
   }
   {
     CheckpointStore resumed(path);
-    EXPECT_EQ(resumed.size(), 2u);
+    EXPECT_EQ(resumed.records().size(), 2u);
     // Only the two missing cells run; the first two come from the file.
     EXPECT_EQ(RunSweep(game, &resumed, 1000), 2);
-    EXPECT_EQ(resumed.size(), 4u);
+    EXPECT_EQ(resumed.records().size(), 4u);
   }
 
   CheckpointStore final_store(path);
-  ASSERT_EQ(final_store.size(), 4u);
+  ASSERT_EQ(final_store.records().size(), 4u);
   for (const Cell& cell : SweepCells()) {
-    const CellRecord* got = final_store.Find(CellKey(cell));
-    const CellRecord* want = reference.Find(CellKey(cell));
+    const CellRecord* got = FindRecord(final_store, CellKey(cell));
+    const CellRecord* want = FindRecord(reference, CellKey(cell));
     ASSERT_NE(got, nullptr);
     ASSERT_NE(want, nullptr);
     EXPECT_TRUE(got->ok);

@@ -13,6 +13,10 @@
 #include "util/checkpoint.h"
 #include "util/string_util.h"
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/wait.h>
+#endif
+
 namespace msopds {
 namespace scale {
 namespace {
@@ -50,7 +54,7 @@ CellRecord ToyRecord(const std::string& key, double rbar, int worker_id) {
 }
 
 /// Deterministic executor for the in-process tests (the subprocess tests
-/// use sweep_runner's MF cell instead).
+/// run the table3 paper bench instead).
 CellRecord DeterministicCell(const std::string& key) {
   double rbar = 0.0;
   for (char c : key) rbar += static_cast<double>(c);
@@ -64,23 +68,28 @@ std::vector<std::string> Keys(int n) {
 }
 
 TEST(WorkerLoopTest, ExecutesCellsAppendsSegmentAndAcks) {
+  const std::string path = FreshDir("worker_loop") + "/segment.jsonl";
   std::istringstream in("CELL cell-000\nCELL cell-001\n");
   std::ostringstream out;
-  CheckpointStore segment("");  // in-memory
-  const int status = RunWorkerLoop(in, out, &segment, /*worker_id=*/7,
-                                   DeterministicCell);
-  EXPECT_EQ(status, 0);
+  {
+    CheckpointStore segment(path);
+    const int status = RunWorkerLoop(in, out, &segment, /*worker_id=*/7,
+                                     DeterministicCell);
+    EXPECT_EQ(status, 0);
+  }
   EXPECT_EQ(out.str(), "DONE cell-000\nDONE cell-001\n");
-  ASSERT_EQ(segment.size(), 2u);
-  ASSERT_NE(segment.Find("cell-000"), nullptr);
-  EXPECT_EQ(segment.Find("cell-000")->worker_id, 7);
-  EXPECT_EQ(segment.Find("cell-001")->worker_id, 7);
+  const std::vector<CellRecord> records = CheckpointStore(path).records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].key, "cell-000");
+  EXPECT_EQ(records[0].worker_id, 7);
+  EXPECT_EQ(records[1].key, "cell-001");
+  EXPECT_EQ(records[1].worker_id, 7);
 }
 
 TEST(WorkerLoopTest, MalformedCommandFails) {
   std::istringstream in("NOPE cell-000\n");
   std::ostringstream out;
-  CheckpointStore segment("");
+  CheckpointStore segment(FreshDir("worker_loop_bad") + "/segment.jsonl");
   EXPECT_EQ(RunWorkerLoop(in, out, &segment, 1, DeterministicCell), 1);
 }
 
@@ -167,12 +176,27 @@ TEST(MergeTest, AgreeingDuplicatesKeepSmallestWorkerId) {
 
 #if defined(__unix__) || defined(__APPLE__)
 
-/// The sweep_runner binary under test (compile definition from CMake).
-std::string RunnerPath() { return MSOPDS_SWEEP_RUNNER_PATH; }
-
-int RunCommand(const std::string& command) {
+/// A tiny Table III sweep (ciao at scale 0.02, 3 methods x 2 budgets, one
+/// repeat, one kernel thread) run by the table3 paper bench, with its
+/// stdout and stderr written to `out_dir`/stdout.txt and stderr.txt.
+/// Returns the exit status.
+int RunTable3(const std::string& work_dir, const std::string& out_dir,
+              const std::string& extra_flags) {
+  const std::string command =
+      std::string(MSOPDS_TABLE3_BENCH_PATH) +
+      " --datasets=ciao --scale=0.02 --budgets=2,3"
+      " --methods=None,Random,PGA --repeats=1 --threads=1"
+      " --checkpoint=" + work_dir + " " + extra_flags + " > " + out_dir +
+      "/stdout.txt 2> " + out_dir + "/stderr.txt";
   const int status = std::system(command.c_str());  // NOLINT
-  return status;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
 }
 
 void ExpectSameRowsModuloWorker(const std::vector<CellRecord>& reference,
@@ -184,67 +208,86 @@ void ExpectSameRowsModuloWorker(const std::vector<CellRecord>& reference,
   }
 }
 
-TEST(SweepRunnerTest, MultiprocessMatchesInlineModuloWorkerId) {
-  const std::string inline_dir = FreshDir("runner_inline");
-  const std::string master_dir = FreshDir("runner_master");
-  const std::string common =
-      " --cells=4 --users=32 --items=24 --epochs=3 --seed=11";
+/// One sweep at --workers=0 and one at `workers_flags` (both with
+/// `common` flags): same merged checkpoint modulo worker id, same table.
+void ExpectWorkersMatchInline(const std::string& name,
+                              const std::string& common,
+                              const std::string& workers_flags) {
+  const std::string inline_dir = FreshDir(name + "_inline");
+  const std::string workers_dir = FreshDir(name + "_workers");
+  ASSERT_EQ(RunTable3(inline_dir + "/ckpt", inline_dir,
+                      common + " --workers=0"),
+            0)
+      << ReadFile(inline_dir + "/stderr.txt");
+  ASSERT_EQ(RunTable3(workers_dir + "/ckpt", workers_dir,
+                      common + " " + workers_flags),
+            0)
+      << ReadFile(workers_dir + "/stderr.txt");
 
-  ASSERT_EQ(RunCommand(RunnerPath() + " --mode=inline --work_dir=" +
-                       inline_dir + common),
-            0);
-  ASSERT_EQ(RunCommand(RunnerPath() + " --mode=master --workers=2 --work_dir=" +
-                       master_dir + common),
-            0);
-
-  const std::vector<CellRecord> inline_rows = LoadMerged(inline_dir);
-  const std::vector<CellRecord> master_rows = LoadMerged(master_dir);
-  ASSERT_EQ(inline_rows.size(), 4u);
-  ExpectSameRowsModuloWorker(inline_rows, master_rows);
+  const std::vector<CellRecord> inline_rows = LoadMerged(inline_dir + "/ckpt");
+  const std::vector<CellRecord> worker_rows =
+      LoadMerged(workers_dir + "/ckpt");
+  ASSERT_EQ(inline_rows.size(), 6u);
+  ExpectSameRowsModuloWorker(inline_rows, worker_rows);
   for (const CellRecord& row : inline_rows) EXPECT_EQ(row.worker_id, 0);
-  for (const CellRecord& row : master_rows) EXPECT_GE(row.worker_id, 1);
+  for (const CellRecord& row : worker_rows) EXPECT_GE(row.worker_id, 1);
+  EXPECT_EQ(ReadFile(inline_dir + "/stdout.txt"),
+            ReadFile(workers_dir + "/stdout.txt"));
 }
 
-TEST(SweepRunnerTest, SurvivesSigkilledWorkerAndStillMatchesInline) {
-  const std::string inline_dir = FreshDir("runner_kill_reference");
-  const std::string kill_dir = FreshDir("runner_kill");
-  const std::string common =
-      " --cells=4 --users=32 --items=24 --epochs=3 --seed=13";
-  const std::string marker = kill_dir + "/killed.marker";
-
-  ASSERT_EQ(RunCommand(RunnerPath() + " --mode=inline --work_dir=" +
-                       inline_dir + common),
-            0);
-  // One worker SIGKILLs itself before persisting its second cell; the
-  // orchestrator must detect the hangup, re-dispatch the lost cell, and
-  // finish with the same merged checkpoint.
-  ASSERT_EQ(RunCommand(RunnerPath() + " --mode=master --workers=2 --work_dir=" +
-                       kill_dir + common + " --fault_kill_cell=1" +
-                       " --kill_marker=" + marker),
-            0);
-  EXPECT_TRUE(std::filesystem::exists(marker))
-      << "fault injection never fired";
-
-  ExpectSameRowsModuloWorker(LoadMerged(inline_dir), LoadMerged(kill_dir));
+TEST(PaperSweepTest, MultiprocessMatchesInlineModuloWorkerId) {
+  ExpectWorkersMatchInline("paper", "", "--workers=2");
 }
 
-TEST(SweepRunnerTest, MasterResumesAfterItselfBeingRerun) {
-  // Simulate an orchestrator death after a partial run: run once with a
-  // kill (losing nothing merged if the master also completed — so here
-  // just run twice and assert the second run resumes every cell).
-  const std::string work_dir = FreshDir("runner_rerun");
-  const std::string common =
-      " --cells=3 --users=32 --items=24 --epochs=2 --seed=17";
-  ASSERT_EQ(RunCommand(RunnerPath() + " --mode=master --workers=2 --work_dir=" +
-                       work_dir + common),
-            0);
-  const std::vector<CellRecord> first = LoadMerged(work_dir);
-  ASSERT_EQ(first.size(), 3u);
-  ASSERT_EQ(RunCommand(RunnerPath() + " --mode=master --workers=2 --work_dir=" +
-                       work_dir + common),
-            0);
-  const std::vector<CellRecord> second = LoadMerged(work_dir);
-  ExpectSameRowsModuloWorker(first, second);
+TEST(PaperSweepTest, FaultDrillMatchesAcrossWorkerCounts) {
+  // Each cell reseeds the fault streams from its key, so the injected
+  // faults do not depend on which worker ran the cell or what it ran
+  // before.
+  ExpectWorkersMatchInline("paper_faults", "--fault_nan=0.05 --fault_seed=3",
+                           "--workers=2");
+}
+
+TEST(PaperSweepTest, SurvivesCrashedWorkerAndStillMatchesInline) {
+  // One worker dies before persisting its second cell; the orchestrator
+  // must detect the hangup, re-dispatch the lost cell, and finish with
+  // the same merged checkpoint. The marker in the work directory lets
+  // only one process take the crash.
+  ExpectWorkersMatchInline("paper_crash", "",
+                           "--workers=2 --fault_crash_cell=1");
+  EXPECT_TRUE(std::filesystem::exists(
+      testing::TempDir() + "/paper_crash_workers/ckpt/crash.marker"))
+      << "the crash drill never fired";
+}
+
+TEST(PaperSweepTest, MasterResumesAfterItselfBeingRerun) {
+  const std::string dir = FreshDir("paper_rerun");
+  ASSERT_EQ(RunTable3(dir + "/ckpt", dir, "--workers=2"), 0)
+      << ReadFile(dir + "/stderr.txt");
+  const std::vector<CellRecord> first = LoadMerged(dir + "/ckpt");
+  const std::string first_table = ReadFile(dir + "/stdout.txt");
+  ASSERT_EQ(first.size(), 6u);
+  ASSERT_EQ(RunTable3(dir + "/ckpt", dir, "--workers=2"), 0)
+      << ReadFile(dir + "/stderr.txt");
+  EXPECT_NE(ReadFile(dir + "/stderr.txt")
+                .find("6 completed cell(s) skipped"),
+            std::string::npos)
+      << ReadFile(dir + "/stderr.txt");
+  ExpectSameRowsModuloWorker(first, LoadMerged(dir + "/ckpt"));
+  EXPECT_EQ(first_table, ReadFile(dir + "/stdout.txt"));
+}
+
+TEST(PaperSweepTest, RefusesToResumeCellsRecordedAtAnotherThreadCount) {
+  const std::string dir = FreshDir("paper_threads");
+  ASSERT_EQ(RunTable3(dir + "/ckpt", dir, ""), 0)
+      << ReadFile(dir + "/stderr.txt");
+  // The later --threads=2 overrides the sweep's --threads=1.
+  EXPECT_EQ(RunTable3(dir + "/ckpt", dir, "--threads=2"), 2);
+  const std::string message = ReadFile(dir + "/stderr.txt");
+  EXPECT_NE(message.find("/ckpt/segment-w0-g0.jsonl:1: cell "
+                         "'ciao|None|b=2' was recorded at 1 thread(s) by "
+                         "worker 0 but this run uses 2"),
+            std::string::npos)
+      << message;
 }
 
 #endif  // defined(__unix__) || defined(__APPLE__)

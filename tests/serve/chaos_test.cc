@@ -86,15 +86,18 @@ ChaosTrace RunChaos(uint64_t fault_seed, int threads) {
   fault.seed = fault_seed;
   fault.publish_fail_probability = 0.2;
   fault.batch_delay_probability = 0.3;
-  fault.batch_delay_us = 50000;  // spiked batches overshoot the deadline
+  fault.batch_delay_us = 200000;  // spiked batches overshoot the deadline
   fault.scoring_error_probability = 0.3;
   ScopedFaultInjection inject(fault);
 
   ChaosTrace trace;
   {
     EngineOptions options;
-    options.max_wait_us = 0;      // one micro-batch per request
-    options.deadline_us = 10000;  // 10ms: only spiked batches shed
+    options.max_wait_us = 0;  // one micro-batch per request
+    // 100ms: only spiked batches shed. An un-spiked batch scores in well
+    // under a millisecond, so the wide margin keeps a loaded host from
+    // shedding one the trace expects to be served.
+    options.deadline_us = 100000;
     ServingEngine engine(options);
     uint64_t version = 1;
     // First publish must land (consuming the publish stream

@@ -192,8 +192,9 @@ std::vector<Tensor> GradHvpAndValues(uint64_t seed) {
 // Backward walks on two threads at once, each over its own graph, give
 // the single-thread results bit for bit. Under ThreadSanitizer this
 // race-checks the state the walks share (node seqs, the recording flag,
-// the arena). The kernel pool takes one top-level region at a time, so
-// the kernels run inline on each walking thread.
+// the arena). The pool is serial here, so the kernels run inline on each
+// walking thread; ConcurrentTopLevelRegionsMatchSerialResults below
+// shares a 4-thread pool instead.
 TEST(ParallelDeterminismTest, ConcurrentBackwardWalksMatchSerialWalks) {
   ThreadPool::Global().SetNumThreads(1);
   constexpr int kRepeats = 20;
@@ -210,6 +211,49 @@ TEST(ParallelDeterminismTest, ConcurrentBackwardWalksMatchSerialWalks) {
     });
   }
   for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_EQ(concurrent[t].size(), static_cast<size_t>(kRepeats));
+    for (const std::vector<Tensor>& got : concurrent[t]) {
+      ASSERT_EQ(got.size(), serial[t].size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(BitIdentical(serial[t][i], got[i]))
+            << "thread " << t << " tensor " << i;
+      }
+    }
+  }
+}
+
+// GradValues of Sum(MatMul(a, b)) on 256 x 256 operands: multi-chunk
+// kernels in the forward and both backward products.
+std::vector<Tensor> MatMulGradValues(uint64_t seed) {
+  Rng rng(seed);
+  Variable a = Param(RandomTensor({256, 256}, &rng));
+  Variable b = Param(RandomTensor({256, 256}, &rng));
+  return GradValues(Sum(MatMul(a, b)), {a, b});
+}
+
+// Two threads issue multi-chunk kernels at once on a 4-thread pool.
+// Whichever finds the pool busy runs its chunks inline, so each thread
+// gets the serial results bit for bit.
+TEST(ParallelDeterminismTest, ConcurrentTopLevelRegionsMatchSerialResults) {
+  constexpr int kRepeats = 5;
+  const uint64_t seeds[2] = {51, 52};
+  ThreadPool::Global().SetNumThreads(1);
+  const std::vector<Tensor> serial[2] = {MatMulGradValues(seeds[0]),
+                                         MatMulGradValues(seeds[1])};
+  ThreadPool::Global().SetNumThreads(4);
+  std::vector<std::vector<Tensor>> concurrent[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&concurrent, &seeds, t] {
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        concurrent[t].push_back(MatMulGradValues(seeds[t]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ThreadPool::Global().SetNumThreads(1);
 
   for (int t = 0; t < 2; ++t) {
     ASSERT_EQ(concurrent[t].size(), static_cast<size_t>(kRepeats));

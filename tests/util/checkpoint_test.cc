@@ -115,33 +115,25 @@ TEST(CellRecordTest, ParseErrorsCarryFileAndRowContext) {
   EXPECT_NE(missing_field.status().message().find("key"), std::string::npos);
 }
 
-TEST(CheckpointStoreTest, InMemoryWhenPathEmpty) {
-  CheckpointStore store("");
-  EXPECT_FALSE(store.persistent());
-  store.Append(MakeRecord("a", 1.0, 0.0));
-  ASSERT_NE(store.Find("a"), nullptr);
-  EXPECT_EQ(store.Find("missing"), nullptr);
-}
-
 TEST(CheckpointStoreTest, PersistsAndReloads) {
   const std::string path = TempPath("ckpt_reload.jsonl");
   std::remove(path.c_str());
   {
     CheckpointStore store(path);
-    EXPECT_EQ(store.size(), 0u);
+    EXPECT_TRUE(store.records().empty());
     store.Append(MakeRecord("a", 1.5, 0.25));
     store.Append(MakeRecord("b", 2.5, 0.75));
   }
-  CheckpointStore reloaded(path);
-  EXPECT_EQ(reloaded.size(), 2u);
-  ASSERT_NE(reloaded.Find("a"), nullptr);
-  EXPECT_DOUBLE_EQ(reloaded.Find("a")->mean_average_rating, 1.5);
-  ASSERT_NE(reloaded.Find("b"), nullptr);
-  EXPECT_DOUBLE_EQ(reloaded.Find("b")->mean_hit_rate, 0.75);
+  const std::vector<CellRecord> reloaded = CheckpointStore(path).records();
+  ASSERT_EQ(reloaded.size(), 2u);
+  EXPECT_EQ(reloaded[0].key, "a");
+  EXPECT_DOUBLE_EQ(reloaded[0].mean_average_rating, 1.5);
+  EXPECT_EQ(reloaded[1].key, "b");
+  EXPECT_DOUBLE_EQ(reloaded[1].mean_hit_rate, 0.75);
   // Reloaded records know which row they came from (1-based), so resume
   // refusals can say "<file>:<row>"; fresh appends carry no source row.
-  EXPECT_EQ(reloaded.Find("a")->source_line, 1);
-  EXPECT_EQ(reloaded.Find("b")->source_line, 2);
+  EXPECT_EQ(reloaded[0].source_line, 1);
+  EXPECT_EQ(reloaded[1].source_line, 2);
 }
 
 TEST(CheckpointStoreTest, DuplicateKeysKeepTheLastRecord) {
@@ -152,9 +144,10 @@ TEST(CheckpointStoreTest, DuplicateKeysKeepTheLastRecord) {
     store.Append(MakeRecord("a", 1.0, 0.0));
     store.Append(MakeRecord("a", 9.0, 1.0));
   }
-  CheckpointStore reloaded(path);
-  ASSERT_NE(reloaded.Find("a"), nullptr);
-  EXPECT_DOUBLE_EQ(reloaded.Find("a")->mean_average_rating, 9.0);
+  const std::vector<CellRecord> reloaded = CheckpointStore(path).records();
+  ASSERT_EQ(reloaded.size(), 1u);
+  EXPECT_EQ(reloaded[0].key, "a");
+  EXPECT_DOUBLE_EQ(reloaded[0].mean_average_rating, 9.0);
 }
 
 TEST(CheckpointStoreTest, TornTrailingLineIsDropped) {
@@ -169,15 +162,14 @@ TEST(CheckpointStoreTest, TornTrailingLineIsDropped) {
     std::ofstream out(path, std::ios::app);
     out << "{\"key\":\"torn\",\"ok\":tru";
   }
-  CheckpointStore reloaded(path);
-  EXPECT_EQ(reloaded.size(), 1u);
-  EXPECT_NE(reloaded.Find("whole"), nullptr);
-  EXPECT_EQ(reloaded.Find("torn"), nullptr);
+  const std::vector<CellRecord> reloaded = CheckpointStore(path).records();
+  ASSERT_EQ(reloaded.size(), 1u);
+  EXPECT_EQ(reloaded[0].key, "whole");
 }
 
 TEST(CheckpointStoreTest, MissingFileStartsEmpty) {
   CheckpointStore store(TempPath("ckpt_never_written.jsonl"));
-  EXPECT_EQ(store.size(), 0u);
+  EXPECT_TRUE(store.records().empty());
 }
 
 }  // namespace

@@ -139,6 +139,7 @@ TEST(ThreadPoolTest, ExceptionFromChunkPropagatesToCaller) {
                          }),
         std::runtime_error)
         << "threads=" << threads;
+    EXPECT_FALSE(ThreadPool::InParallelRegion()) << "threads=" << threads;
     // The pool must stay usable after a failed region.
     std::atomic<int64_t> count{0};
     pool.ParallelFor(100, 10, [&count](int64_t begin, int64_t end, int64_t) {

@@ -7,8 +7,9 @@
 #   each of these legs);
 # - the serving labels pinned to 1 kernel thread (`-L serve` is a regex,
 #   so it also matches `serve_fault`);
-# - the quant_check parity CLI (DESIGN.md §15) and a real 2-worker
-#   sweep_runner smoke sweep (DESIGN.md §17);
+# - the quant_check parity CLI (DESIGN.md §15) and a tiny Table III
+#   sweep whose printed table must be byte-identical at --workers=2 and
+#   --workers=0 (DESIGN.md §17);
 # - verify_graph: static verification, the parallel write-overlap sweep
 #   (DESIGN.md §13) and the registry gradcheck;
 # - the end-to-end benchmark package's self-test;
@@ -150,16 +151,19 @@ if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
     MSOPDS_THREADS=1 ctest --test-dir build -L serve --output-on-failure -j
   }
   run_stage "ctest-serve-t1" ctest_serve_t1
-  # Crash-safe sweep smoke: a real 2-worker subprocess sweep over a
-  # 4-cell toy grid, exercising dispatch, segment merge, and clean
-  # shutdown outside the test harness.
+  # Sweep smoke: the tiny Table III sweep of the scale suite, run
+  # outside the test harness in one process and across two worker
+  # processes (dispatch, segment merge, clean shutdown); the two printed
+  # tables must be byte-identical.
   sweep_smoke() {
-    local dir
+    local dir rc
     dir=$(mktemp -d) || return 1
-    ./build/tools/sweep_runner --mode=master --workers=2 \
-      --work_dir="$dir" --cells=4 --users=32 --items=24 --epochs=2
-    local rc=$?
-    [ $rc -eq 0 ] && [ -s "$dir/sweep.ckpt" ]
+    local table3=./build/bench/table3_single_opponent
+    local flags=(--datasets=ciao --scale=0.02 --budgets=2,3
+                 --methods=None,Random,PGA --repeats=1 --threads=1)
+    "$table3" "${flags[@]}" --workers=0 > "$dir/inline.txt" \
+      && "$table3" "${flags[@]}" --workers=2 > "$dir/workers.txt" \
+      && diff "$dir/inline.txt" "$dir/workers.txt"
     rc=$?
     rm -rf "$dir"
     return $rc
