@@ -227,7 +227,7 @@ inline void WriteStaticChecksFields(JsonWriter* json,
 /// retry totals) into the current JSON object, so BENCH_serving.json
 /// rows track the shed/reject/degraded trajectory the same way the perf
 /// tables track latency. `precision` is the snapshot storage mode the
-/// run published ("fp64" / "fp16" / "int8"), so quantized rows are
+/// run published ("fp64" / "int8"), so quantized rows are
 /// distinguishable from full-precision ones. Call between Key/Value
 /// pairs of an open object.
 inline void WriteRobustnessFields(JsonWriter* json,
@@ -452,8 +452,11 @@ class PaperCells {
     record.threads = ThreadPool::Global().num_threads();
     const std::vector<std::string> parts = StrSplit(key, '|');
     const SweepColumn* column = nullptr;
-    for (const SweepColumn& candidate : columns_) {
-      if (parts.size() == 3 && candidate.label == parts[2]) column = &candidate;
+    if (parts.size() == 3 && Listed(flags_.datasets, parts[0]) &&
+        Listed(flags_.methods, parts[1])) {
+      for (const SweepColumn& candidate : columns_) {
+        if (candidate.label == parts[2]) column = &candidate;
+      }
     }
     if (column == nullptr) {
       record.ok = false;
@@ -483,6 +486,11 @@ class PaperCells {
   }
 
  private:
+  static bool Listed(const std::vector<std::string>& names,
+                     const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  }
+
   bool ClaimCrash() const {
     const std::string marker = work_dir_ + "/crash.marker";
     const int fd = ::open(marker.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
@@ -563,10 +571,17 @@ inline void PrintHeader(const std::string& first,
 /// print from the merged checkpoint in key order, one per dataset.
 /// Started with --segment=, the bench is such a worker instead: stdout
 /// carries the orchestrator protocol, so it prints nothing else there.
-/// Returns the process exit status: 1 when the sweep fails, 2 when the
-/// work directory holds cells recorded at another kernel thread count.
+/// Returns the process exit status: 1 when the sweep fails, 2 when a
+/// dataset or method name is unknown (checked before anything runs) or
+/// the work directory holds cells recorded at another kernel thread
+/// count.
 inline int RunPaperSweep(int argc, char** argv, const BenchFlags& flags,
                          const PaperSweep& sweep) {
+  const Status names = CheckExperimentNames(flags.datasets, flags.methods);
+  if (!names.ok()) {
+    std::fprintf(stderr, "%s\n", names.message().c_str());
+    return 2;
+  }
   if (flags.threads > 0) ThreadPool::Global().SetNumThreads(flags.threads);
   if (!flags.segment.empty()) {
     PaperCells cells(

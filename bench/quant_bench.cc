@@ -1,5 +1,5 @@
 // Quantized-serving A/B bench (DESIGN.md §15): publishes one synthetic
-// MF snapshot at fp64 / fp16 / int8 and measures, per precision,
+// MF snapshot at fp64 and int8 and measures, per precision,
 //
 //   * snapshot payload bytes and factor bytes per user row (the memory
 //     the quantized formats shrink),
@@ -12,8 +12,9 @@
 //
 // Cells run --reps times; the committed numbers use the min with median
 // and spread recorded per cell (bench_util.h RepStats), matching the
-// simd_bench reporter. tools/bench_snapshot.sh --quant writes the
-// committed BENCH_quant.json at the repo root.
+// simd_bench reporter. tools/bench_snapshot.sh (which also writes
+// BENCH_simd.json) writes the committed BENCH_quant.json at the repo
+// root with --reps=3 --dot_ms=50.
 //
 // Flags:
 //   --users=N --items=N --dim=D   synthetic snapshot size (default
@@ -247,8 +248,7 @@ int Main(int argc, char** argv) {
               "B/user", "dot_ns/pass", "speedup", "overlap", "top1");
   std::vector<PrecisionRow> rows;
   for (const serve::SnapshotPrecision precision :
-       {serve::SnapshotPrecision::kFp64, serve::SnapshotPrecision::kFp16,
-        serve::SnapshotPrecision::kInt8}) {
+       {serve::SnapshotPrecision::kFp64, serve::SnapshotPrecision::kInt8}) {
     const std::shared_ptr<const serve::ModelSnapshot> snapshot =
         precision == serve::SnapshotPrecision::kFp64
             ? fp64
@@ -327,9 +327,8 @@ int Main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
-  // Acceptance summary (ISSUE 9): int8 must shrink factor bytes ≥3.5x
-  // and speed the single-thread serve dot ≥2x vs the full-precision
-  // baseline.
+  // Summary: each quantized precision's factor-byte reduction and
+  // single-thread serve-dot speedup vs the full-precision baseline.
   json.Key("summary").BeginObject();
   for (const PrecisionRow& row : rows) {
     if (row.precision == serve::SnapshotPrecision::kFp64) continue;

@@ -49,7 +49,7 @@
 //   --fault_seed=N --fault_publish=P --fault_score=P
 //   --fault_batch_delay=P --fault_batch_delay_us=N
 //                                 chaos fault plan (all off by default)
-//   --precision=fp64|fp16|int8    snapshot storage precision published to
+//   --precision=fp64|int8         snapshot storage precision published to
 //                                 the engine (default fp64); rows record it
 //   --swap_ms=N                   snapshot republish period (default 100;
 //                                 0 disables)
@@ -180,7 +180,7 @@ struct ServeBenchFlags {
         flags.swap_ms = std::atoll(v);
       } else if (const char* v = value_of("--precision=")) {
         if (!serve::ParseSnapshotPrecision(v, &flags.precision)) {
-          std::fprintf(stderr, "bad --precision (fp64|fp16|int8): %s\n", v);
+          std::fprintf(stderr, "bad --precision (fp64|int8): %s\n", v);
           std::exit(2);
         }
       } else if (const char* v = value_of("--seed=")) {

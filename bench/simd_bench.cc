@@ -224,8 +224,8 @@ void BM_SimdElementwiseChain(benchmark::State& state) {
 BENCHMARK(BM_SimdElementwiseChain)->ArgNames({"simd"})->Arg(0)->Arg(1);
 
 void BM_SimdServeScoreRow(benchmark::State& state) {
-  // The serve-path scorer: one user factor row dotted against every
-  // item factor row (serve/model_snapshot.h ScoreRow).
+  // The fp64 serve-path dot: one user factor row dotted against every
+  // item factor row (serve/model_snapshot.h ScoreRef).
   ThreadPool::Global().SetNumThreads(1);
   const int64_t items = 512;
   const int64_t dim = 64;

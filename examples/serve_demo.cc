@@ -66,14 +66,11 @@ double MeanTargetRank(const serve::ModelSnapshot& snapshot,
                       const std::vector<int64_t>& audience, int64_t target) {
   double total = 0.0;
   for (int64_t user : audience) {
-    const double* row = snapshot.UserRow(user);
-    const serve::ScoredItem target_entry{target,
-                                         snapshot.ScoreRow(row, user, target)};
+    const serve::ScoredItem target_entry{target, snapshot.Score(user, target)};
     int64_t rank = 1;
     for (int64_t item = 0; item < snapshot.num_items(); ++item) {
       if (item == target) continue;
-      const serve::ScoredItem candidate{item,
-                                        snapshot.ScoreRow(row, user, item)};
+      const serve::ScoredItem candidate{item, snapshot.Score(user, item)};
       if (serve::RanksBefore(candidate, target_entry)) ++rank;
     }
     total += static_cast<double>(rank);

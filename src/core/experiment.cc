@@ -1,5 +1,7 @@
 #include "core/experiment.h"
 
+#include <utility>
+
 #include "attack/baselines.h"
 #include "attack/pga_attack.h"
 #include "attack/poisonrec_attack.h"
@@ -38,6 +40,79 @@ AttackFactory MsopdsFactory(bool ratings, bool social, bool item, bool fakes,
   };
 }
 
+template <typename T>
+AttackFactory DefaultConstructed() {
+  return [](const GameContext&) -> std::unique_ptr<Attack> {
+    return std::make_unique<T>();
+  };
+}
+
+AttackFactory BopdsFactory() {
+  return [](const GameContext&) -> std::unique_ptr<Attack> {
+    BopdsConfig config;
+    config.comprehensive = true;
+    config.demote = false;
+    config.variant_name = "BOPDS";
+    return std::make_unique<Bopds>(config);
+  };
+}
+
+// The one list of attack method names, in documentation order.
+const std::vector<std::pair<std::string, AttackFactory>>& AttackTable() {
+  static const std::vector<std::pair<std::string, AttackFactory>> table = {
+      {"None", DefaultConstructed<NoneAttack>()},
+      {"Random", DefaultConstructed<RandomAttack>()},
+      {"Popular", DefaultConstructed<PopularAttack>()},
+      {"PGA", DefaultConstructed<PgaAttack>()},
+      {"S-attack", DefaultConstructed<SAttack>()},
+      {"RevAdv", DefaultConstructed<RevAdvAttack>()},
+      {"Trial", DefaultConstructed<TrialAttack>()},
+      {"PoisonRec", DefaultConstructed<PoisonRecAttack>()},
+      {"BOPDS", BopdsFactory()},
+      {"MSOPDS", MsopdsFactory(true, true, true, true, "MSOPDS")},
+      {"MSOPDS-ratings",
+       MsopdsFactory(true, false, false, true, "MSOPDS-ratings")},
+      {"MSOPDS-ratings+item",
+       MsopdsFactory(true, false, true, true, "MSOPDS-ratings+item")},
+      {"MSOPDS-ratings+user",
+       MsopdsFactory(true, true, false, true, "MSOPDS-ratings+user")},
+      {"MSOPDS-real", MsopdsFactory(true, true, false, false, "MSOPDS-real")},
+      {"MSOPDS-fake", MsopdsFactory(false, true, false, true, "MSOPDS-fake")},
+  };
+  return table;
+}
+
+// The one list of dataset profile names.
+const std::vector<std::pair<std::string, SyntheticConfig (*)(double)>>&
+ProfileTable() {
+  static const std::vector<
+      std::pair<std::string, SyntheticConfig (*)(double)>>
+      table = {{"ciao", CiaoProfile},
+               {"epinions", EpinionsProfile},
+               {"librarything", LibraryThingProfile}};
+  return table;
+}
+
+template <typename Table>
+bool Contains(const Table& table, const std::string& name) {
+  for (const auto& entry : table) {
+    if (entry.first == name) return true;
+  }
+  return false;
+}
+
+// "unknown <kind> '<value>'; accepted: a, b, c".
+template <typename Table>
+std::string UnknownName(const char* kind, const std::string& value,
+                        const Table& table) {
+  std::string message =
+      std::string("unknown ") + kind + " '" + value + "'; accepted:";
+  for (size_t i = 0; i < table.size(); ++i) {
+    message += (i == 0 ? " " : ", ") + table[i].first;
+  }
+  return message;
+}
+
 }  // namespace
 
 std::vector<std::string> StandardMethods() {
@@ -66,78 +141,39 @@ MsopdsConfig DefaultMsopdsConfig() {
 }
 
 AttackFactory MakeAttackFactory(const std::string& method) {
-  if (method == "None") {
-    return [](const GameContext&) { return std::make_unique<NoneAttack>(); };
+  for (const auto& [name, factory] : AttackTable()) {
+    if (name == method) return factory;
   }
-  if (method == "Random") {
-    return [](const GameContext&) { return std::make_unique<RandomAttack>(); };
-  }
-  if (method == "Popular") {
-    return
-        [](const GameContext&) { return std::make_unique<PopularAttack>(); };
-  }
-  if (method == "PGA") {
-    return [](const GameContext&) { return std::make_unique<PgaAttack>(); };
-  }
-  if (method == "S-attack") {
-    return [](const GameContext&) { return std::make_unique<SAttack>(); };
-  }
-  if (method == "RevAdv") {
-    return [](const GameContext&) { return std::make_unique<RevAdvAttack>(); };
-  }
-  if (method == "Trial") {
-    return [](const GameContext&) { return std::make_unique<TrialAttack>(); };
-  }
-  if (method == "PoisonRec") {
-    return [](const GameContext&) {
-      return std::make_unique<PoisonRecAttack>();
-    };
-  }
-  if (method == "BOPDS") {
-    return [](const GameContext&) -> std::unique_ptr<Attack> {
-      BopdsConfig config;
-      config.comprehensive = true;
-      config.demote = false;
-      config.variant_name = "BOPDS";
-      return std::make_unique<Bopds>(config);
-    };
-  }
-  if (method == "MSOPDS") {
-    return MsopdsFactory(true, true, true, true, "MSOPDS");
-  }
-  if (method == "MSOPDS-ratings") {
-    return MsopdsFactory(true, false, false, true, "MSOPDS-ratings");
-  }
-  if (method == "MSOPDS-ratings+item") {
-    return MsopdsFactory(true, false, true, true, "MSOPDS-ratings+item");
-  }
-  if (method == "MSOPDS-ratings+user") {
-    return MsopdsFactory(true, true, false, true, "MSOPDS-ratings+user");
-  }
-  if (method == "MSOPDS-real") {
-    return MsopdsFactory(true, true, false, false, "MSOPDS-real");
-  }
-  if (method == "MSOPDS-fake") {
-    return MsopdsFactory(false, true, false, true, "MSOPDS-fake");
-  }
-  MSOPDS_LOG(Fatal) << "unknown attack method: " << method;
+  MSOPDS_LOG(Fatal) << UnknownName("attack method", method, AttackTable());
   return {};
 }
 
 Dataset MakeExperimentDataset(const std::string& name, double scale,
                               uint64_t seed) {
-  SyntheticConfig config;
-  if (name == "ciao") {
-    config = CiaoProfile(scale);
-  } else if (name == "epinions") {
-    config = EpinionsProfile(scale);
-  } else if (name == "librarything") {
-    config = LibraryThingProfile(scale);
-  } else {
-    MSOPDS_LOG(Fatal) << "unknown dataset profile: " << name;
+  for (const auto& [profile_name, profile] : ProfileTable()) {
+    if (profile_name != name) continue;
+    Rng rng(seed);
+    return GenerateSynthetic(profile(scale), &rng);
   }
-  Rng rng(seed);
-  return GenerateSynthetic(config, &rng);
+  MSOPDS_LOG(Fatal) << UnknownName("dataset profile", name, ProfileTable());
+  return {};
+}
+
+Status CheckExperimentNames(const std::vector<std::string>& datasets,
+                            const std::vector<std::string>& methods) {
+  for (const std::string& name : datasets) {
+    if (!Contains(ProfileTable(), name)) {
+      return Status::InvalidArgument(
+          UnknownName("dataset profile", name, ProfileTable()));
+    }
+  }
+  for (const std::string& method : methods) {
+    if (!Contains(AttackTable(), method)) {
+      return Status::InvalidArgument(
+          UnknownName("attack method", method, AttackTable()));
+    }
+  }
+  return Status::Ok();
 }
 
 GameConfig DefaultGameConfig() {

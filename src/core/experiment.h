@@ -7,6 +7,7 @@
 #include "core/multiplayer_game.h"
 #include "core/msopds.h"
 #include "data/synthetic.h"
+#include "util/status.h"
 
 namespace msopds {
 
@@ -18,17 +19,25 @@ std::vector<std::string> StandardMethods();
 std::vector<std::string> Fig8Methods();
 std::vector<std::string> Fig9Methods();
 
-/// Maps a method name to an attack factory. Recognized names:
-/// None, Random, Popular, PGA, S-attack, RevAdv, Trial, PoisonRec (RL
-/// extension baseline), BOPDS, MSOPDS, MSOPDS-ratings,
-/// MSOPDS-ratings+item, MSOPDS-ratings+user, MSOPDS-real, MSOPDS-fake.
-/// CHECK-fails on unknown names.
+/// Maps a method name to an attack factory: the Table III methods,
+/// PoisonRec (RL extension baseline), BOPDS and the MSOPDS variants of
+/// Figs. 8-9. CHECK-fails on unknown names; CheckExperimentNames
+/// validates them first.
 AttackFactory MakeAttackFactory(const std::string& method);
 
 /// Generates the named synthetic dataset profile ("ciao", "epinions",
 /// "librarything") at `scale`, deterministically from `seed`.
+/// CHECK-fails on unknown names; CheckExperimentNames validates them
+/// first.
 Dataset MakeExperimentDataset(const std::string& name, double scale,
                               uint64_t seed);
+
+/// OK when MakeExperimentDataset accepts every name in `datasets` and
+/// MakeAttackFactory every name in `methods`. Otherwise
+/// InvalidArgument naming the first unknown value and listing the
+/// accepted names.
+Status CheckExperimentNames(const std::vector<std::string>& datasets,
+                            const std::vector<std::string>& methods);
 
 /// Game configuration tuned so the full benchmark suite runs on one CPU
 /// core (paper hyperparameters where feasible: eta^p = 0.005 < eta^q =

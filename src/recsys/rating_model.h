@@ -27,7 +27,7 @@ namespace msopds {
 /// (serve/model_snapshot.h).
 ///
 /// The export is always full binary64 precision; quantized serving
-/// (fp16/int8 snapshots, serve/quantize.h) rounds *after* this export,
+/// (int8 snapshots, serve/quantize.h) rounds *after* this export,
 /// once per publish, so every model feeds the quantizer through this one
 /// interface and the bit-identical-to-PredictPairs recipe above stays
 /// scoped to full-precision snapshots.

@@ -120,15 +120,12 @@ int64_t ModelSnapshot::FactorPayloadBytes() const {
   const int64_t f64_bytes = static_cast<int64_t>(sizeof(double)) *
                             static_cast<int64_t>(user_factors_.size() +
                                                  item_factors_.size());
-  const int64_t f16_bytes =
-      static_cast<int64_t>(sizeof(uint16_t)) *
-      static_cast<int64_t>(user_half_.size() + item_half_.size());
   const int64_t q8_bytes = static_cast<int64_t>(
       user_q8_.size() + item_q8_.size());
   const int64_t scale_bytes =
       static_cast<int64_t>(sizeof(float)) *
       static_cast<int64_t>(user_scale_.size() + item_scale_.size());
-  return f64_bytes + f16_bytes + q8_bytes + scale_bytes;
+  return f64_bytes + q8_bytes + scale_bytes;
 }
 
 int64_t ModelSnapshot::PayloadBytes() const {

@@ -73,15 +73,12 @@ struct SnapshotOptions {
 /// skipped when the model has none), then `+ offset` — which makes
 /// Score() bit-identical to the model's PredictPairs.
 ///
-/// A snapshot may also hold its factor blocks quantized (kFp16 / kInt8,
-/// serve/quantize.h); the width-matched kernel then replaces simd::Dot:
-///   kFp16: simd::DotF16 over the binary16 rows (exact widening, same
-///          4-lane schedule — the only deviation from kFp64 is the
-///          storage rounding applied once at quantize time);
-///   kInt8: ((double)simd::DotI8 * user_scale) * item_scale — the dot is
-///          exact integer arithmetic and the two scale multiplies use a
-///          fixed association, so this too is bit-identical across
-///          threads, SIMD on/off, and runs *within* the int8 snapshot.
+/// A snapshot may also hold its factor blocks quantized (kInt8,
+/// serve/quantize.h); the int8 kernel then replaces simd::Dot:
+/// ((double)simd::DotI8 * user_scale) * item_scale — the dot is exact
+/// integer arithmetic and the two scale multiplies use a fixed
+/// association, so this too is bit-identical across threads, SIMD
+/// on/off, and runs *within* the int8 snapshot.
 /// Biases and offset stay binary64 in every mode. Cross-precision
 /// fidelity is tolerance-bounded, never bit-scoped (DESIGN.md §15).
 class ModelSnapshot {
@@ -112,22 +109,6 @@ class ModelSnapshot {
   bool has_item_bias() const { return !item_bias_.empty(); }
   SnapshotPrecision precision() const { return precision_; }
 
-  /// Full-precision row accessors — kFp64 snapshots only (quantized
-  /// snapshots do not hold binary64 factor blocks).
-  const double* UserRow(int64_t user) const {
-    MSOPDS_DCHECK_GE(user, 0);
-    MSOPDS_DCHECK_LT(user, num_users_);
-    MSOPDS_DCHECK(precision_ == SnapshotPrecision::kFp64);
-    return user_factors_.data() + user * dim_;
-  }
-
-  const double* ItemRow(int64_t item) const {
-    MSOPDS_DCHECK_GE(item, 0);
-    MSOPDS_DCHECK_LT(item, num_items_);
-    MSOPDS_DCHECK(precision_ == SnapshotPrecision::kFp64);
-    return item_factors_.data() + item * dim_;
-  }
-
   /// Precision-erased handle to one user's factor row: exactly one of
   /// the pointers is set (matching precision()), and `scale` carries the
   /// user's int8 dequantization scale (0.0 otherwise). The tiled top-K
@@ -135,7 +116,6 @@ class ModelSnapshot {
   /// tiles through it.
   struct UserRef {
     const double* f64 = nullptr;
-    const uint16_t* f16 = nullptr;
     const int8_t* q8 = nullptr;
     double scale = 0.0;
   };
@@ -147,9 +127,6 @@ class ModelSnapshot {
     switch (precision_) {
       case SnapshotPrecision::kFp64:
         ref.f64 = user_factors_.data() + user * dim_;
-        break;
-      case SnapshotPrecision::kFp16:
-        ref.f16 = user_half_.data() + user * dim_;
         break;
       case SnapshotPrecision::kInt8:
         ref.q8 = user_q8_.data() + user * dim_;
@@ -179,9 +156,6 @@ class ModelSnapshot {
       case SnapshotPrecision::kFp64:
         s = simd::Dot(ref.f64, item_factors_.data() + item * dim_, dim_);
         break;
-      case SnapshotPrecision::kFp16:
-        s = simd::DotF16(ref.f16, item_half_.data() + item * dim_, dim_);
-        break;
       case SnapshotPrecision::kInt8:
         // Fixed association: (dot * user_scale) * item_scale. The int
         // dot is exact; the two multiplies are the only rounding steps.
@@ -191,16 +165,6 @@ class ModelSnapshot {
             static_cast<double>(item_scale_[static_cast<size_t>(item)]);
         break;
     }
-    if (!user_bias_.empty()) s += user_bias_[static_cast<size_t>(user)];
-    if (!item_bias_.empty()) s += item_bias_[static_cast<size_t>(item)];
-    return s + offset_;
-  }
-
-  /// Score() with the user row already resolved — legacy kFp64-only
-  /// entry point kept for exporters/tests that walk raw rows.
-  double ScoreRow(const double* user_row, int64_t user, int64_t item) const {
-    const double* item_row = ItemRow(item);
-    double s = simd::Dot(user_row, item_row, dim_);
     if (!user_bias_.empty()) s += user_bias_[static_cast<size_t>(user)];
     if (!item_bias_.empty()) s += item_bias_[static_cast<size_t>(item)];
     return s + offset_;
@@ -230,8 +194,6 @@ class ModelSnapshot {
   // factor representation is populated, matching precision_.
   std::vector<double> user_factors_;  // [U * D] (kFp64)
   std::vector<double> item_factors_;  // [I * D] (kFp64)
-  std::vector<uint16_t> user_half_;   // [U * D] (kFp16, binary16 bits)
-  std::vector<uint16_t> item_half_;   // [I * D] (kFp16)
   std::vector<int8_t> user_q8_;       // [U * D] (kInt8 codes)
   std::vector<int8_t> item_q8_;       // [I * D] (kInt8)
   std::vector<float> user_scale_;     // [U] per-row scales (kInt8)

@@ -1,7 +1,6 @@
 #include "serve/quantize.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "serve/model_snapshot.h"
 #include "tensor/simd.h"
@@ -14,8 +13,6 @@ const char* SnapshotPrecisionName(SnapshotPrecision precision) {
   switch (precision) {
     case SnapshotPrecision::kFp64:
       return "fp64";
-    case SnapshotPrecision::kFp16:
-      return "fp16";
     case SnapshotPrecision::kInt8:
       return "int8";
   }
@@ -26,70 +23,12 @@ bool ParseSnapshotPrecision(const std::string& text, SnapshotPrecision* out) {
   MSOPDS_CHECK(out != nullptr);
   if (text == "fp64") {
     *out = SnapshotPrecision::kFp64;
-  } else if (text == "fp16") {
-    *out = SnapshotPrecision::kFp16;
   } else if (text == "int8") {
     *out = SnapshotPrecision::kInt8;
   } else {
     return false;
   }
   return true;
-}
-
-namespace {
-
-// binary32 bits → binary16 bits, round-to-nearest-even. The magic-number
-// technique: normal halves round via an integer bias + mantissa-odd
-// nudge; subnormal halves round via one float addition against a
-// denormal magic constant (the float adder performs the RNE shift).
-uint16_t SingleBitsToHalf(uint32_t bits) {
-  const uint32_t kInfBits = 255u << 23;
-  const uint32_t kHalfMaxBits = (127u + 16u) << 23;  // 2^16: overflows half
-  const uint32_t kDenormMagicBits = ((127u - 15u) + (23u - 10u) + 1u) << 23;
-  const uint32_t sign = bits & 0x80000000u;
-  bits ^= sign;
-  uint16_t half;
-  if (bits >= kHalfMaxBits) {
-    // Overflow → ±inf; NaN keeps a quiet payload.
-    half = bits > kInfBits ? 0x7E00u : 0x7C00u;
-  } else if (bits < (113u << 23)) {  // < 2^-14: subnormal half or zero
-    float magic;
-    std::memcpy(&magic, &kDenormMagicBits, sizeof(magic));
-    float value;
-    std::memcpy(&value, &bits, sizeof(value));
-    value += magic;
-    std::memcpy(&bits, &value, sizeof(bits));
-    half = static_cast<uint16_t>(bits - kDenormMagicBits);
-  } else {
-    const uint32_t mantissa_odd = (bits >> 13) & 1u;
-    bits += (static_cast<uint32_t>(15 - 127) << 23) + 0xFFFu;
-    bits += mantissa_odd;
-    half = static_cast<uint16_t>(bits >> 13);
-  }
-  return static_cast<uint16_t>(half | (sign >> 16));
-}
-
-}  // namespace
-
-uint16_t DoubleToHalf(double value) {
-  // binary64 → binary32 is itself RNE; double rounding across the two
-  // steps can differ from direct binary64 → binary16 RNE only in the
-  // last binary16 ulp, which the round-trip tests bound. Factor values
-  // here come out of training at O(1) magnitude, far from both edges.
-  const float single = static_cast<float>(value);
-  uint32_t bits;
-  std::memcpy(&bits, &single, sizeof(bits));
-  return SingleBitsToHalf(bits);
-}
-
-void QuantizeRowsHalf(const double* values, int64_t count,
-                      std::vector<uint16_t>* out) {
-  MSOPDS_CHECK(out != nullptr);
-  MSOPDS_CHECK_GE(count, 0);
-  out->resize(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    (*out)[static_cast<size_t>(i)] = DoubleToHalf(values[i]);
-  }
 }
 
 void QuantizeRowsInt8(const double* rows, int64_t num_rows, int64_t dim,
@@ -139,12 +78,6 @@ std::shared_ptr<const ModelSnapshot> QuantizeSnapshot(
     case SnapshotPrecision::kFp64:
       snap->user_factors_ = source.user_factors_;
       snap->item_factors_ = source.item_factors_;
-      break;
-    case SnapshotPrecision::kFp16:
-      QuantizeRowsHalf(source.user_factors_.data(),
-                       source.num_users_ * source.dim_, &snap->user_half_);
-      QuantizeRowsHalf(source.item_factors_.data(),
-                       source.num_items_ * source.dim_, &snap->item_half_);
       break;
     case SnapshotPrecision::kInt8:
       QuantizeRowsInt8(source.user_factors_.data(), source.num_users_,

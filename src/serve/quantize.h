@@ -3,15 +3,13 @@
 
 // Quantized snapshot export (DESIGN.md §15).
 //
-// A published ModelSnapshot can carry its factor blocks at one of three
+// A published ModelSnapshot can carry its factor blocks at one of two
 // storage precisions:
 //
 //   kFp64  — the full-precision export (the repo's models train and
 //            serve in IEEE binary64 end-to-end, so "full precision"
 //            here is 8 bytes/element, stricter than the fp32 baseline
 //            the quantization literature usually compares against);
-//   kFp16  — IEEE binary16 storage, widened exactly to binary64 inside
-//            the scoring kernel (4× smaller factors than kFp64);
 //   kInt8  — per-row symmetric int8 with one binary32 scale per row
 //            (scale = maxabs/127, value ≈ q * scale), ~8× smaller.
 //
@@ -21,7 +19,7 @@
 //
 // Quantization happens once, at export/publish time (QuantizeSnapshot);
 // the serve hot path never converts storage, it just dispatches to the
-// width-matched kernel (simd::Dot / simd::DotF16 / simd::DotI8).
+// width-matched kernel (simd::Dot / simd::DotI8).
 
 #include <cstdint>
 #include <memory>
@@ -36,25 +34,14 @@ class ModelSnapshot;
 /// Storage precision of a snapshot's factor blocks.
 enum class SnapshotPrecision {
   kFp64 = 0,
-  kFp16 = 1,
-  kInt8 = 2,
+  kInt8 = 1,
 };
 
 const char* SnapshotPrecisionName(SnapshotPrecision precision);
 
-/// Parses "fp64" / "fp16" / "int8" (as used by bench flags). Returns
-/// false and leaves `*out` untouched on anything else.
+/// Parses "fp64" / "int8" (as used by bench flags). Returns false and
+/// leaves `*out` untouched on anything else.
 bool ParseSnapshotPrecision(const std::string& text, SnapshotPrecision* out);
-
-/// Round-to-nearest-even conversion of a binary64 value to an IEEE
-/// binary16 bit pattern (via the exact binary64 → binary32 → binary16
-/// path; overflow saturates to ±inf, NaN stays NaN). The inverse exact
-/// widening is simd::HalfToDouble.
-uint16_t DoubleToHalf(double value);
-
-/// Converts `count` binary64 elements to binary16 bit patterns.
-void QuantizeRowsHalf(const double* values, int64_t count,
-                      std::vector<uint16_t>* out);
 
 /// Per-row symmetric int8 quantization of a row-major [num_rows × dim]
 /// block: scale[r] = maxabs(row r) / 127 stored in binary32, and

@@ -102,10 +102,10 @@ TopKResult PackTopK(const std::vector<std::vector<ScoredItem>>& per_user,
 /// catalog is scanned in cache-sized tiles with the tile's item rows
 /// shared across the chunk's users. Seen-item exclusion rides the
 /// ascending scan with one monotone CSR cursor per user. Scoring goes
-/// through the snapshot's precision-erased UserRef handle, so quantized
-/// (fp16/int8) snapshots ride the same tiling and hit their
-/// width-matched kernels. Results are bit-identical at any thread count
-/// and tile size (RanksBefore is a total order) for every precision.
+/// through the snapshot's precision-erased UserRef handle, so int8
+/// snapshots ride the same tiling and hit their width-matched kernel.
+/// Results are bit-identical at any thread count and tile size
+/// (RanksBefore is a total order) for every precision.
 TopKResult TopKForUsers(const ModelSnapshot& snapshot,
                         const std::vector<int64_t>& users,
                         const TopKOptions& options);

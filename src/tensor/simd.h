@@ -44,21 +44,14 @@
 // global -mavx2 so enabling SIMD cannot change code generation (and hence
 // numerics) anywhere outside this header.
 //
-// Quantized-serving kernels (DESIGN.md §15). DotI8 is pure int32 integer
+// Quantized-serving kernel (DESIGN.md §15). DotI8 is pure int32 integer
 // arithmetic — integer addition is associative, so it is bit-exact across
 // backends by construction (the AVX2 path widens int8 pairs to int16 and
 // uses the madd lane pipeline; NEON uses the widening-multiply path).
-// DotF16 widens IEEE binary16 storage to double exactly (binary16 →
-// binary32 → binary64 conversions are value-preserving) and then runs the
-// same fixed 4-lane reduction schedule as Dot, so it shares Dot's
-// bit-exact-across-backends contract. The x86 DotF16 vector path needs
-// F16C on top of AVX2 and falls back to the scalar reference when the
-// probe says F16C is absent.
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <limits>
 
 #if !defined(MSOPDS_SIMD_DISABLED) && defined(__GNUC__) && \
     (defined(__x86_64__) || defined(_M_X64))
@@ -137,43 +130,6 @@ inline const char* BackendName() {
 
 /// True when a vector backend (not the scalar fallback) is active.
 inline bool VectorActive() { return ActiveBackend() != Backend::kScalar; }
-
-namespace internal {
-
-/// F16C probe for the DotF16 vector path. AVX2 does not imply F16C, so
-/// the binary16 kernel carries its own gate; NEON baseline AArch64 has
-/// the half-width conversions unconditionally.
-inline bool F16cSupported() {
-#if defined(MSOPDS_SIMD_X86)
-  static const bool supported = __builtin_cpu_supports("f16c");
-  return supported;
-#else
-  return true;
-#endif
-}
-
-}  // namespace internal
-
-/// Exact widening of an IEEE binary16 bit pattern to double. Every
-/// binary16 value (including subnormals and infinities) is representable
-/// in binary64, so this conversion is value-preserving and identical to
-/// what the hardware F16C / NEON conversion paths produce.
-inline double HalfToDouble(uint16_t h) {
-  const int sign = (h >> 15) & 0x1;
-  const int exponent = (h >> 10) & 0x1F;
-  const int mantissa = h & 0x3FF;
-  double magnitude;
-  if (exponent == 0) {
-    magnitude = std::ldexp(static_cast<double>(mantissa), -24);
-  } else if (exponent == 31) {
-    magnitude = mantissa == 0 ? std::numeric_limits<double>::infinity()
-                              : std::numeric_limits<double>::quiet_NaN();
-  } else {
-    magnitude =
-        std::ldexp(static_cast<double>(mantissa | 0x400), exponent - 25);
-  }
-  return sign != 0 ? -magnitude : magnitude;
-}
 
 // ---------------------------------------------------------------------------
 // Scalar fallback. The reference semantics: reductions use the same 4-lane
@@ -293,11 +249,9 @@ MSOPDS_SCALAR_NOVEC inline void Sqrt(const double* a, double* out, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = std::sqrt(a[i]);
 }
 
-// Quantized-serving reference kernels. DotI8 is a plain int32 sum —
+// Quantized-serving reference kernel. DotI8 is a plain int32 sum —
 // integer addition is associative so no lane schedule is needed for
-// cross-backend bit parity. DotF16 widens each binary16 element to
-// double (exactly) and then follows the standard 4-lane schedule so its
-// bits match Dot over the widened values.
+// cross-backend bit parity.
 
 MSOPDS_SCALAR_NOVEC inline int32_t DotI8(const int8_t* a, const int8_t* b,
                                          int64_t n) {
@@ -306,22 +260,6 @@ MSOPDS_SCALAR_NOVEC inline int32_t DotI8(const int8_t* a, const int8_t* b,
     sum += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
   }
   return sum;
-}
-
-MSOPDS_SCALAR_NOVEC inline double DotF16(const uint16_t* a, const uint16_t* b,
-                                         int64_t n) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    l0 += HalfToDouble(a[i]) * HalfToDouble(b[i]);
-    l1 += HalfToDouble(a[i + 1]) * HalfToDouble(b[i + 1]);
-    l2 += HalfToDouble(a[i + 2]) * HalfToDouble(b[i + 2]);
-    l3 += HalfToDouble(a[i + 3]) * HalfToDouble(b[i + 3]);
-  }
-  if (i < n) l0 += HalfToDouble(a[i]) * HalfToDouble(b[i]);
-  if (i + 1 < n) l1 += HalfToDouble(a[i + 1]) * HalfToDouble(b[i + 1]);
-  if (i + 2 < n) l2 += HalfToDouble(a[i + 2]) * HalfToDouble(b[i + 2]);
-  return (l0 + l1) + (l2 + l3);
 }
 
 }  // namespace scalar
@@ -546,32 +484,6 @@ __attribute__((target("avx2"))) inline int32_t DotI8(const int8_t* a,
   return sum;
 }
 
-// binary16 dot: F16C widens four binary16 lanes to binary32 exactly,
-// cvtps_pd widens to binary64 exactly, then the same 4-lane double
-// schedule as Dot. Requires AVX2+F16C; the dispatch wrapper probes F16C
-// separately and falls back to the scalar reference otherwise.
-__attribute__((target("avx2,f16c"))) inline double DotF16(const uint16_t* a,
-                                                          const uint16_t* b,
-                                                          int64_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i ha =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i hb =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + i));
-    const __m256d va = _mm256_cvtps_pd(_mm_cvtph_ps(ha));
-    const __m256d vb = _mm256_cvtps_pd(_mm_cvtph_ps(hb));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  if (i < n) lanes[0] += HalfToDouble(a[i]) * HalfToDouble(b[i]);
-  if (i + 1 < n) lanes[1] += HalfToDouble(a[i + 1]) * HalfToDouble(b[i + 1]);
-  if (i + 2 < n) lanes[2] += HalfToDouble(a[i + 2]) * HalfToDouble(b[i + 2]);
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
 }  // namespace avx2
 
 #endif  // MSOPDS_SIMD_X86
@@ -762,32 +674,6 @@ inline int32_t DotI8(const int8_t* a, const int8_t* b, int64_t n) {
   return sum;
 }
 
-// binary16 dot: vcvt_f32_f16 widens binary16 to binary32 exactly,
-// vcvt_f64_f32 widens to binary64 exactly, then the same 4-lane double
-// schedule as Dot (lanes {0,1} and {2,3} in two 128-bit registers).
-inline double DotF16(const uint16_t* a, const uint16_t* b, int64_t n) {
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t fa =
-        vcvt_f32_f16(vreinterpret_f16_u16(vld1_u16(a + i)));
-    const float32x4_t fb =
-        vcvt_f32_f16(vreinterpret_f16_u16(vld1_u16(b + i)));
-    const float64x2_t a01 = vcvt_f64_f32(vget_low_f32(fa));
-    const float64x2_t b01 = vcvt_f64_f32(vget_low_f32(fb));
-    acc01 = vaddq_f64(acc01, vmulq_f64(a01, b01));
-    acc23 = vaddq_f64(acc23,
-                      vmulq_f64(vcvt_high_f64_f32(fa), vcvt_high_f64_f32(fb)));
-  }
-  double lanes[4] = {vgetq_lane_f64(acc01, 0), vgetq_lane_f64(acc01, 1),
-                     vgetq_lane_f64(acc23, 0), vgetq_lane_f64(acc23, 1)};
-  if (i < n) lanes[0] += HalfToDouble(a[i]) * HalfToDouble(b[i]);
-  if (i + 1 < n) lanes[1] += HalfToDouble(a[i + 1]) * HalfToDouble(b[i + 1]);
-  if (i + 2 < n) lanes[2] += HalfToDouble(a[i + 2]) * HalfToDouble(b[i + 2]);
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
 }  // namespace neon
 
 #endif  // MSOPDS_SIMD_NEON
@@ -897,22 +783,6 @@ inline void Sqrt(const double* a, double* out, int64_t n) {
 /// the int32 accumulator cannot wrap (serve rows are ≤ a few hundred).
 inline int32_t DotI8(const int8_t* a, const int8_t* b, int64_t n) {
   MSOPDS_SIMD_DISPATCH(DotI8, a, b, n);
-}
-
-/// sum_j widen(a[j]) * widen(b[j]) over IEEE binary16 rows, fixed 4-lane
-/// double schedule (see header comment). Widening is exact in every
-/// backend, so this shares Dot's bit-exact-across-backends contract.
-/// On x86 the vector path additionally requires F16C; without it the
-/// scalar reference runs even when AVX2 is active.
-inline double DotF16(const uint16_t* a, const uint16_t* b, int64_t n) {
-#if defined(MSOPDS_SIMD_X86)
-  if (ActiveBackend() == Backend::kAvx2 && internal::F16cSupported()) {
-    return avx2::DotF16(a, b, n);
-  }
-  return scalar::DotF16(a, b, n);
-#else
-  MSOPDS_SIMD_DISPATCH(DotF16, a, b, n);
-#endif
 }
 
 #undef MSOPDS_SIMD_DISPATCH

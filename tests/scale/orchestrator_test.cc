@@ -176,20 +176,26 @@ TEST(MergeTest, AgreeingDuplicatesKeepSmallestWorkerId) {
 
 #if defined(__unix__) || defined(__APPLE__)
 
+/// Runs the shell `command` with its stdout and stderr written to
+/// `out_dir`/stdout.txt and stderr.txt. Returns the exit status.
+int RunCommand(const std::string& command, const std::string& out_dir) {
+  const std::string redirected = command + " > " + out_dir +
+                                 "/stdout.txt 2> " + out_dir + "/stderr.txt";
+  const int status = std::system(redirected.c_str());  // NOLINT
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 /// A tiny Table III sweep (ciao at scale 0.02, 3 methods x 2 budgets, one
-/// repeat, one kernel thread) run by the table3 paper bench, with its
-/// stdout and stderr written to `out_dir`/stdout.txt and stderr.txt.
-/// Returns the exit status.
+/// repeat, one kernel thread) run by the table3 paper bench; a flag in
+/// `extra_flags` overrides the same flag of the sweep. Returns the exit
+/// status.
 int RunTable3(const std::string& work_dir, const std::string& out_dir,
               const std::string& extra_flags) {
-  const std::string command =
-      std::string(MSOPDS_TABLE3_BENCH_PATH) +
-      " --datasets=ciao --scale=0.02 --budgets=2,3"
-      " --methods=None,Random,PGA --repeats=1 --threads=1"
-      " --checkpoint=" + work_dir + " " + extra_flags + " > " + out_dir +
-      "/stdout.txt 2> " + out_dir + "/stderr.txt";
-  const int status = std::system(command.c_str());  // NOLINT
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return RunCommand(std::string(MSOPDS_TABLE3_BENCH_PATH) +
+                        " --datasets=ciao --scale=0.02 --budgets=2,3"
+                        " --methods=None,Random,PGA --repeats=1 --threads=1"
+                        " --checkpoint=" + work_dir + " " + extra_flags,
+                    out_dir);
 }
 
 std::string ReadFile(const std::string& path) {
@@ -288,6 +294,86 @@ TEST(PaperSweepTest, RefusesToResumeCellsRecordedAtAnotherThreadCount) {
                          "worker 0 but this run uses 2"),
             std::string::npos)
       << message;
+}
+
+TEST(PaperSweepTest, UnknownMethodOrDatasetExitsTwoBeforeAnyCell) {
+  const struct {
+    const char* flag;
+    const char* message;
+  } cases[] = {
+      {"--methods=None,Bogus",
+       "unknown attack method 'Bogus'; accepted: None, Random, Popular, "},
+      {"--datasets=ciao,nowhere",
+       "unknown dataset profile 'nowhere'; accepted: ciao, epinions, "
+       "librarything"},
+  };
+  for (const auto& bad : cases) {
+    for (const char* workers : {"--workers=0", "--workers=2"}) {
+      SCOPED_TRACE(std::string(bad.flag) + " " + workers);
+      const std::string dir = FreshDir("paper_bad_name");
+      EXPECT_EQ(RunTable3(dir + "/ckpt", dir,
+                          std::string(bad.flag) + " " + workers),
+                2);
+      EXPECT_NE(ReadFile(dir + "/stderr.txt").find(bad.message),
+                std::string::npos)
+          << ReadFile(dir + "/stderr.txt");
+      // Nothing ran: no title, no work directory.
+      EXPECT_EQ(ReadFile(dir + "/stdout.txt"), "");
+      EXPECT_FALSE(std::filesystem::exists(dir + "/ckpt"));
+    }
+  }
+}
+
+TEST(PaperSweepTest, WorkerRecordsKeysOutsideTheSweepAsFailures) {
+  // Keys arrive on the worker's stdin; one naming a dataset or method
+  // outside the sweep's flags must become a recorded failure, never
+  // reach the library's name CHECKs.
+  const std::string dir = FreshDir("paper_worker_keys");
+  const std::string segment = dir + "/segment-w1-g0.jsonl";
+  ASSERT_EQ(RunCommand("printf 'CELL nowhere|None|b=2\\nCELL "
+                       "ciao|Bogus|b=2\\n' | " +
+                           std::string(MSOPDS_TABLE3_BENCH_PATH) +
+                           " --datasets=ciao --scale=0.02 --budgets=2"
+                           " --methods=None --repeats=1 --threads=1"
+                           " --worker_id=1 --segment=" + segment,
+                       dir),
+            0)
+      << ReadFile(dir + "/stderr.txt");
+  EXPECT_EQ(ReadFile(dir + "/stdout.txt"),
+            "DONE nowhere|None|b=2\nDONE ciao|Bogus|b=2\n");
+  const std::vector<CellRecord> records = CheckpointStore(segment).records();
+  ASSERT_EQ(records.size(), 2u);
+  for (const CellRecord& record : records) {
+    EXPECT_FALSE(record.ok) << record.key;
+    EXPECT_EQ(record.error, "not a cell of this sweep") << record.key;
+  }
+}
+
+TEST(ExtModerationTest, RefusesFlagsItDoesNotUseAndUnknownNames) {
+  const std::string dir = FreshDir("ext_moderation_flags");
+  const std::string bench = MSOPDS_EXT_MODERATION_BENCH_PATH;
+  EXPECT_EQ(RunCommand(bench +
+                           " --datasets=ciao --scale=0.02 --repeats=1"
+                           " --methods=Random --workers=4 --fault_nan=1.0"
+                           " --budgets=2 --threads=3",
+                       dir),
+            2);
+  EXPECT_NE(ReadFile(dir + "/stderr.txt")
+                .find("ext_moderation does not take --workers"),
+            std::string::npos)
+      << ReadFile(dir + "/stderr.txt");
+  EXPECT_EQ(ReadFile(dir + "/stdout.txt"), "");
+
+  EXPECT_EQ(RunCommand(bench +
+                           " --datasets=ciao --scale=0.02 --repeats=1"
+                           " --methods=Bogus",
+                       dir),
+            2);
+  EXPECT_NE(ReadFile(dir + "/stderr.txt")
+                .find("unknown attack method 'Bogus'; accepted: "),
+            std::string::npos)
+      << ReadFile(dir + "/stderr.txt");
+  EXPECT_EQ(ReadFile(dir + "/stdout.txt"), "");
 }
 
 #endif  // defined(__unix__) || defined(__APPLE__)

@@ -4,7 +4,7 @@
 # kernel thread, writing the committed BENCH_simd.json speedup table at
 # the repo root, then the quantized-serving bench (bench/quant_bench.cc)
 # writing BENCH_quant.json (bytes/user and serve-dot / top-K timings at
-# fp64/fp16/int8). Seeds are compiled into the benches; the thread count
+# fp64 and int8). Seeds are compiled into the benches; the thread count
 # is pinned here so the tables measure kernel speed, not scheduling
 # (quant_bench pins its own pool per top-K cell).
 #

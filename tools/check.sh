@@ -7,9 +7,8 @@
 #   each of these legs);
 # - the serving labels pinned to 1 kernel thread (`-L serve` is a regex,
 #   so it also matches `serve_fault`);
-# - the quant_check parity CLI (DESIGN.md §15) and a tiny Table III
-#   sweep whose printed table must be byte-identical at --workers=2 and
-#   --workers=0 (DESIGN.md §17);
+# - a tiny Table III sweep whose printed table must be byte-identical
+#   at --workers=2 and --workers=0 (DESIGN.md §17);
 # - verify_graph: static verification, the parallel write-overlap sweep
 #   (DESIGN.md §13) and the registry gradcheck;
 # - the end-to-end benchmark package's self-test;
@@ -138,10 +137,6 @@ if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
     MSOPDS_SIMD=0 ctest --test-dir build --output-on-failure -j
   }
   run_stage "ctest-release-simd-off" ctest_simd_off
-  # Standalone quantization parity CLI: kernel dispatch bit parity over
-  # every vector-tail remainder class, round-trip bounds, and end-to-end
-  # top-K backend/thread parity.
-  run_stage "quant-parity" ./build/tools/quant_check
   # Serving and overload/chaos suites pinned to one kernel thread (the
   # 4-thread run is part of ctest-release-mt4): the engine's lists must
   # be bit-identical to the offline reference, and the chaos replay must
@@ -179,7 +174,6 @@ else
   skip_stage "ctest-release-mt4" "build failed"
   skip_stage "ctest-release-arena-off" "build failed"
   skip_stage "ctest-release-simd-off" "build failed"
-  skip_stage "quant-parity" "build failed"
   skip_stage "ctest-serve-t1" "build failed"
   skip_stage "sweep-smoke" "build failed"
   skip_stage "verify-graph" "build failed"
