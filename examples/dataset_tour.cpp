@@ -10,6 +10,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <system_error>
 
 #include "data/synthetic.h"
 #include "data/tsv_loader.h"
@@ -43,19 +46,36 @@ int main(int argc, char** argv) {
   }
 
   // TSV round trip: this is how the real Ciao/Epinions/LibraryThing dumps
-  // are ingested ("user item rating" + "user user" files).
+  // are ingested ("user item rating" + "user user" files). The files go
+  // to a fresh temporary directory, removed again afterwards.
   Rng rng(123);
   const Dataset sample =
       msopds::GenerateSynthetic(msopds::CiaoProfile(0.03), &rng);
-  const char* ratings_path = "/tmp/msopds_ratings.tsv";
-  const char* trust_path = "/tmp/msopds_trust.tsv";
-  if (msopds::SaveTsv(sample, ratings_path, trust_path).ok()) {
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "msopds-tour-XXXXXX")
+          .string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  const std::string ratings_path = dir + "/ratings.tsv";
+  const std::string trust_path = dir + "/trust.tsv";
+  msopds::Status status = msopds::SaveTsv(sample, ratings_path, trust_path);
+  if (status.ok()) {
     auto loaded = msopds::LoadTsv(ratings_path, trust_path);
+    status = loaded.status();
     if (loaded.ok()) {
       std::printf("TSV round trip: wrote %zu ratings, read back %zu (%s)\n",
                   sample.ratings.size(), loaded.value().ratings.size(),
                   loaded.value().Summary().c_str());
     }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  if (!status.ok()) {
+    std::fprintf(stderr, "TSV round trip failed: %s\n",
+                 status.ToString().c_str());
+    return 1;
   }
   std::printf(
       "\nTo run the suite on the real public dumps, convert them to the\n"

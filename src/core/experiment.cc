@@ -190,13 +190,6 @@ GameConfig DefaultGameConfig() {
   return config;
 }
 
-CellStats RunRepeatedCell(const MultiplayerGame& game,
-                          const std::string& method, int budget_level,
-                          uint64_t seed, int repeats) {
-  return RunRepeatedCellChecked(game, method, budget_level, seed, repeats)
-      .stats;
-}
-
 CellOutcome RunRepeatedCellChecked(const MultiplayerGame& game,
                                    const std::string& method,
                                    int budget_level, uint64_t seed,

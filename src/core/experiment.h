@@ -55,10 +55,6 @@ struct CellStats {
   int repeats = 0;
 };
 
-CellStats RunRepeatedCell(const MultiplayerGame& game,
-                          const std::string& method, int budget_level,
-                          uint64_t seed, int repeats);
-
 /// Health-aware cell outcome: `stats` averages only healthy repeats
 /// (those whose victim training recovered to a finite model and whose
 /// metrics are finite). When every repeat failed, `ok` is false, the
@@ -72,8 +68,8 @@ struct CellOutcome {
   std::string error;
 };
 
-/// Like RunRepeatedCell but never lets a numerically-failed game poison
-/// the mean; fault-free behaviour is arithmetically identical.
+/// Runs the cell's `repeats` games and never lets a numerically-failed
+/// game poison the mean.
 CellOutcome RunRepeatedCellChecked(const MultiplayerGame& game,
                                    const std::string& method,
                                    int budget_level, uint64_t seed,

@@ -4,11 +4,6 @@
 
 namespace msopds {
 
-Variable InjectionLossFromPredictions(const Variable& target_predictions) {
-  MSOPDS_CHECK_EQ(target_predictions.value().rank(), 1);
-  return Neg(Mean(target_predictions));
-}
-
 Variable ComprehensiveLossFromPredictions(const Variable& target_predictions,
                                           const Variable& compete_predictions,
                                           int64_t num_compete, bool demote) {

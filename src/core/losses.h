@@ -5,11 +5,6 @@
 
 namespace msopds {
 
-/// Injection Attack loss (paper Eq. (3)): the negated mean predicted
-/// rating of the target item; `target_predictions` is the [A] vector of
-/// predictions R(u, i_t) over the relevant users.
-Variable InjectionLossFromPredictions(const Variable& target_predictions);
-
 /// Comprehensive Attack loss (paper Eq. (5)):
 ///   (1/|U_TA|) sum_u sum_c SELU(R(u, i_c) - R(u, i_t))       (promote)
 /// or with the difference reversed when `demote` is true (the opponents'

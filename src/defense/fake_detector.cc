@@ -9,8 +9,7 @@
 
 namespace msopds {
 
-std::vector<double> SuspicionScores(const Dataset& dataset,
-                                    const FakeDetectorOptions& options) {
+std::vector<double> SuspicionScores(const Dataset& dataset) {
   const int64_t users = dataset.num_users;
   std::vector<double> extremity(static_cast<size_t>(users), 0.0);
   std::vector<double> deviation(static_cast<size_t>(users), 0.0);
@@ -34,7 +33,7 @@ std::vector<double> SuspicionScores(const Dataset& dataset,
   std::vector<double> scores(static_cast<size_t>(users), 0.0);
   for (int64_t u = 0; u < users; ++u) {
     const size_t i = static_cast<size_t>(u);
-    if (count[i] < options.min_ratings) continue;
+    if (count[i] == 0) continue;
     const double n = static_cast<double>(count[i]);
     const double extremity_rate = extremity[i] / n;
     // Normalize deviation to roughly [0, 1] (max deviation is 4 stars).
@@ -42,17 +41,14 @@ std::vector<double> SuspicionScores(const Dataset& dataset,
     const double isolation =
         1.0 / (1.0 + static_cast<double>(dataset.social.Degree(u)) /
                          mean_degree);
-    scores[i] = options.extremity_weight * extremity_rate +
-                options.deviation_weight * deviation_rate +
-                options.isolation_weight * isolation;
+    scores[i] = extremity_rate + deviation_rate + isolation;
   }
   return scores;
 }
 
-std::vector<int64_t> DetectFakeUsers(const Dataset& dataset, int64_t count,
-                                     const FakeDetectorOptions& options) {
+std::vector<int64_t> DetectFakeUsers(const Dataset& dataset, int64_t count) {
   MSOPDS_CHECK_GE(count, 0);
-  const std::vector<double> scores = SuspicionScores(dataset, options);
+  const std::vector<double> scores = SuspicionScores(dataset);
   std::vector<int64_t> order(scores.size());
   std::iota(order.begin(), order.end(), 0);
   const int64_t k =

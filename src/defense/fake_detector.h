@@ -18,22 +18,13 @@ namespace msopds {
 /// (many 5-stars, weakly embedded) score high; hired *real* users score
 /// like everyone else — which is exactly why the paper argues real-user
 /// poisoning is the more durable channel (Fig. 9 discussion).
-struct FakeDetectorOptions {
-  double extremity_weight = 1.0;
-  double deviation_weight = 1.0;
-  double isolation_weight = 1.0;
-  /// Users with fewer ratings than this are never flagged (too little
-  /// evidence).
-  int64_t min_ratings = 1;
-};
-
-/// Per-user suspicion scores in [0, ~3].
-std::vector<double> SuspicionScores(const Dataset& dataset,
-                                    const FakeDetectorOptions& options = {});
+///
+/// Per-user suspicion scores in [0, ~3]: the plain sum of the three
+/// terms. Users with no ratings score 0 (no evidence).
+std::vector<double> SuspicionScores(const Dataset& dataset);
 
 /// The `count` most suspicious users (ties by lower id).
-std::vector<int64_t> DetectFakeUsers(const Dataset& dataset, int64_t count,
-                                     const FakeDetectorOptions& options = {});
+std::vector<int64_t> DetectFakeUsers(const Dataset& dataset, int64_t count);
 
 /// Moderation: removes the given users (their ratings and social links)
 /// and compacts ids. Returns the cleaned dataset and, via `id_map`,

@@ -31,19 +31,6 @@ bool UndirectedGraph::AddEdge(int64_t a, int64_t b) {
   return true;
 }
 
-bool UndirectedGraph::RemoveEdge(int64_t a, int64_t b) {
-  if (a == b) return false;
-  if (edge_set_.erase(EncodeEdge(a, b)) == 0) return false;
-  auto erase_from = [](std::vector<int64_t>* list, int64_t value) {
-    auto it = std::find(list->begin(), list->end(), value);
-    list->erase(it);
-  };
-  erase_from(&adjacency_[static_cast<size_t>(a)], b);
-  erase_from(&adjacency_[static_cast<size_t>(b)], a);
-  --num_edges_;
-  return true;
-}
-
 bool UndirectedGraph::HasEdge(int64_t a, int64_t b) const {
   if (a == b) return false;
   if (a < 0 || b < 0 || a >= num_nodes_ || b >= num_nodes_) return false;

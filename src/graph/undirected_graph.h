@@ -25,9 +25,6 @@ class UndirectedGraph {
   /// already exists or a == b. CHECK-fails on out-of-range nodes.
   bool AddEdge(int64_t a, int64_t b);
 
-  /// Removes an undirected edge; returns false if absent.
-  bool RemoveEdge(int64_t a, int64_t b);
-
   bool HasEdge(int64_t a, int64_t b) const;
 
   /// Neighbor list of v (insertion order).

@@ -75,34 +75,6 @@ double HitRateAtK(RatingModel* model, const std::vector<int64_t>& audience,
   return static_cast<double>(hits) / static_cast<double>(ranks.size());
 }
 
-double PrecisionAtK(RatingModel* model, const std::vector<int64_t>& audience,
-                    int64_t target_item, const std::vector<int64_t>& compete,
-                    int k) {
-  MSOPDS_CHECK_GT(k, 0);
-  const std::vector<int> ranks =
-      TargetRanks(model, audience, target_item, compete);
-  double total = 0.0;
-  for (int rank : ranks) {
-    if (rank <= k) total += 1.0 / static_cast<double>(k);
-  }
-  return total / static_cast<double>(ranks.size());
-}
-
-double NdcgAtK(RatingModel* model, const std::vector<int64_t>& audience,
-               int64_t target_item, const std::vector<int64_t>& compete,
-               int k) {
-  MSOPDS_CHECK_GT(k, 0);
-  const std::vector<int> ranks =
-      TargetRanks(model, audience, target_item, compete);
-  double total = 0.0;
-  for (int rank : ranks) {
-    if (rank <= k) {
-      total += 1.0 / std::log2(static_cast<double>(rank) + 1.0);
-    }
-  }
-  return total / static_cast<double>(ranks.size());
-}
-
 double Rmse(RatingModel* model, const std::vector<Rating>& ratings) {
   MSOPDS_CHECK(model != nullptr);
   MSOPDS_CHECK(!ratings.empty());

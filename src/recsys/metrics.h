@@ -27,20 +27,6 @@ double HitRateAtK(RatingModel* model, const std::vector<int64_t>& audience,
 /// recommendation-quality sanity checks, not a paper attack metric).
 double Rmse(RatingModel* model, const std::vector<Rating>& ratings);
 
-/// Precision@k of the target item's placement, averaged over the
-/// audience: 1/k if the target makes each user's top-k against the
-/// competitors, else 0 (a rank-sensitive companion to HitRate@k).
-double PrecisionAtK(RatingModel* model, const std::vector<int64_t>& audience,
-                    int64_t target_item, const std::vector<int64_t>& compete,
-                    int k = 3);
-
-/// NDCG@k of the target item against the competitors, averaged over the
-/// audience, with the target as the single relevant item: 1/log2(rank+1)
-/// when the target ranks within the top k, else 0.
-double NdcgAtK(RatingModel* model, const std::vector<int64_t>& audience,
-               int64_t target_item, const std::vector<int64_t>& compete,
-               int k = 3);
-
 /// Offline full-catalog top-K recommendation lists for `users`: scores
 /// every item of `dataset` with PredictPairs and selects through the
 /// shared serve/topk kernel (higher score first, ties broken toward the

@@ -43,7 +43,7 @@ struct OutOfCoreResult : TrainResult {
 /// or inconsistent shard set, one that holds no ratings, or a model
 /// whose shape does not match it yields InvalidArgument.
 ///
-/// For LightGCN / HetRecSys victims the graph propagation couples users
+/// For the HetRecSys victim the graph propagation couples users
 /// across shard cuts, so shard-local training is an approximation there;
 /// the documented equivalence bound lives in DESIGN.md §17. This driver
 /// is exact for MF.

@@ -396,31 +396,5 @@ StatusOr<ShardReader> ShardReader::Open(const std::string& path) {
   return reader;
 }
 
-ShardContents ShardReader::ToContents() const {
-  ShardContents c;
-  c.shard_index = shard_index_;
-  c.num_shards = num_shards_;
-  c.user_begin = user_begin_;
-  c.user_end = user_end_;
-  c.item_begin = item_begin_;
-  c.item_end = item_end_;
-  c.num_users = num_users_;
-  c.num_items = num_items_;
-  c.total_ratings = total_ratings_;
-  c.name = name_;
-  c.rating_offsets.assign(rating_offsets_,
-                          rating_offsets_ + owned_users() + 1);
-  c.rating_items.assign(rating_items_, rating_items_ + num_ratings_);
-  c.rating_values.assign(rating_values_, rating_values_ + num_ratings_);
-  c.rating_seqs.assign(rating_seqs_, rating_seqs_ + num_ratings_);
-  c.social_offsets.assign(social_offsets_,
-                          social_offsets_ + owned_users() + 1);
-  c.social_neighbors.assign(social_neighbors_,
-                            social_neighbors_ + social_entries_);
-  c.item_offsets.assign(item_offsets_, item_offsets_ + owned_items() + 1);
-  c.item_neighbors.assign(item_neighbors_, item_neighbors_ + item_entries_);
-  return c;
-}
-
 }  // namespace scale
 }  // namespace msopds

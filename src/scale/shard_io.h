@@ -138,10 +138,6 @@ class ShardReader {
   /// True when the payload is served from an mmap (vs a heap copy).
   bool mmapped() const { return mapped_addr_ != nullptr; }
 
-  /// Deserializes everything into an owning ShardContents (the rewrite
-  /// path of the ingester and the merge tests).
-  ShardContents ToContents() const;
-
  private:
   ShardReader() = default;
   void Release();

@@ -38,110 +38,6 @@ int64_t OwnerShard(int64_t id, int64_t total, int64_t num_shards) {
   return shard;
 }
 
-std::vector<ShardContents> ShardDataset(const Dataset& dataset,
-                                        int64_t num_shards) {
-  MSOPDS_CHECK_GT(num_shards, 0);
-  const int64_t num_users = dataset.num_users;
-  const int64_t num_items = dataset.num_items;
-
-  std::vector<ShardContents> shards(static_cast<size_t>(num_shards));
-  for (int64_t s = 0; s < num_shards; ++s) {
-    ShardContents& shard = shards[static_cast<size_t>(s)];
-    shard.shard_index = s;
-    shard.num_shards = num_shards;
-    const ShardRange users = PartitionRange(num_users, num_shards, s);
-    const ShardRange items = PartitionRange(num_items, num_shards, s);
-    shard.user_begin = users.begin;
-    shard.user_end = users.end;
-    shard.item_begin = items.begin;
-    shard.item_end = items.end;
-    shard.num_users = num_users;
-    shard.num_items = num_items;
-    shard.total_ratings = static_cast<int64_t>(dataset.ratings.size());
-    shard.name = dataset.name;
-  }
-
-  // Ratings: one counting pass, then per-user cursors fill the CSR in
-  // original order (user-major with within-user order preserved, which
-  // is exactly the stable user-major canonicalization).
-  std::vector<int64_t> per_user(static_cast<size_t>(num_users), 0);
-  for (const Rating& r : dataset.ratings) {
-    ++per_user[static_cast<size_t>(r.user)];
-  }
-  for (ShardContents& shard : shards) {
-    shard.rating_offsets.assign(static_cast<size_t>(shard.owned_users() + 1),
-                                0);
-    for (int64_t u = shard.user_begin; u < shard.user_end; ++u) {
-      shard.rating_offsets[static_cast<size_t>(u - shard.user_begin + 1)] =
-          shard.rating_offsets[static_cast<size_t>(u - shard.user_begin)] +
-          per_user[static_cast<size_t>(u)];
-    }
-    const int64_t rows = shard.rating_offsets.back();
-    shard.rating_items.resize(static_cast<size_t>(rows));
-    shard.rating_values.resize(static_cast<size_t>(rows));
-    shard.rating_seqs.resize(static_cast<size_t>(rows));
-  }
-  std::vector<int64_t> cursor(static_cast<size_t>(num_users), 0);
-  for (size_t seq = 0; seq < dataset.ratings.size(); ++seq) {
-    const Rating& r = dataset.ratings[seq];
-    const int64_t s = OwnerShard(r.user, num_users, num_shards);
-    ShardContents& shard = shards[static_cast<size_t>(s)];
-    const int64_t row =
-        shard.rating_offsets[static_cast<size_t>(r.user - shard.user_begin)] +
-        cursor[static_cast<size_t>(r.user)];
-    ++cursor[static_cast<size_t>(r.user)];
-    shard.rating_items[static_cast<size_t>(row)] = r.item;
-    shard.rating_values[static_cast<size_t>(row)] = r.value;
-    shard.rating_seqs[static_cast<size_t>(row)] = static_cast<int64_t>(seq);
-  }
-
-  // Graph adjacency slices, copied verbatim (list order is part of the
-  // merge bit-identity contract).
-  for (ShardContents& shard : shards) {
-    shard.social_offsets.assign(static_cast<size_t>(shard.owned_users() + 1),
-                                0);
-    for (int64_t u = shard.user_begin; u < shard.user_end; ++u) {
-      const auto& neighbors = dataset.social.Neighbors(u);
-      shard.social_offsets[static_cast<size_t>(u - shard.user_begin + 1)] =
-          shard.social_offsets[static_cast<size_t>(u - shard.user_begin)] +
-          static_cast<int64_t>(neighbors.size());
-      shard.social_neighbors.insert(shard.social_neighbors.end(),
-                                    neighbors.begin(), neighbors.end());
-    }
-    shard.item_offsets.assign(static_cast<size_t>(shard.owned_items() + 1),
-                              0);
-    for (int64_t i = shard.item_begin; i < shard.item_end; ++i) {
-      const auto& neighbors = dataset.items.Neighbors(i);
-      shard.item_offsets[static_cast<size_t>(i - shard.item_begin + 1)] =
-          shard.item_offsets[static_cast<size_t>(i - shard.item_begin)] +
-          static_cast<int64_t>(neighbors.size());
-      shard.item_neighbors.insert(shard.item_neighbors.end(),
-                                  neighbors.begin(), neighbors.end());
-    }
-  }
-  return shards;
-}
-
-StatusOr<std::vector<std::string>> WriteShards(const Dataset& dataset,
-                                               const std::string& directory,
-                                               int64_t num_shards) {
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  if (ec) {
-    return Status::Internal("cannot create shard directory " + directory +
-                            ": " + ec.message());
-  }
-  const ShardWriter writer(directory);
-  std::vector<std::string> paths;
-  paths.reserve(static_cast<size_t>(num_shards));
-  for (const ShardContents& shard : ShardDataset(dataset, num_shards)) {
-    auto path = writer.Write(shard);
-    if (!path.ok()) return path.status();
-    paths.push_back(std::move(path).value());
-  }
-  return paths;
-}
-
 StatusOr<std::vector<std::string>> ListShardPaths(
     const std::string& directory) {
   // Find the shard count from any one member, then enumerate the fixed

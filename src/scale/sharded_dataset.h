@@ -27,19 +27,6 @@ ShardRange PartitionRange(int64_t total, int64_t num_shards, int64_t shard);
 /// Shard owning index `id` under PartitionRange(total, num_shards, ...).
 int64_t OwnerShard(int64_t id, int64_t total, int64_t num_shards);
 
-/// Slices an in-memory dataset into `num_shards` ShardContents. Rating
-/// rows are stored user-major (CSR) with their original `ratings` index
-/// as the global sequence number, so MergeShards can reproduce the exact
-/// original order; social/item adjacency lists are copied verbatim.
-std::vector<ShardContents> ShardDataset(const Dataset& dataset,
-                                        int64_t num_shards);
-
-/// ShardDataset + ShardWriter for every shard. Returns the shard paths
-/// in shard-index order.
-StatusOr<std::vector<std::string>> WriteShards(const Dataset& dataset,
-                                               const std::string& directory,
-                                               int64_t num_shards);
-
 /// Shard files under `directory` in shard-index order (derived from the
 /// fixed-width ShardFileName pattern; no unordered directory iteration).
 StatusOr<std::vector<std::string>> ListShardPaths(

@@ -49,7 +49,7 @@ struct SeenItemsCsr {
 struct SnapshotOptions {
   /// Monotonic publish version (the engine reports it per response).
   uint64_t version = 0;
-  /// Free-form provenance tag, e.g. "mf", "lightgcn", "het_recsys",
+  /// Free-form provenance tag, e.g. "mf", "het_recsys",
   /// "het_recsys+poisoned".
   std::string source;
   /// Storage precision of the factor blocks. Non-kFp64 exports quantize

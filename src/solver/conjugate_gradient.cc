@@ -95,20 +95,6 @@ Attempt RunAttempt(const LinearOperator& apply, const Tensor& b,
 
 }  // namespace
 
-std::string CgOutcomeToString(CgOutcome outcome) {
-  switch (outcome) {
-    case CgOutcome::kConverged:
-      return "converged";
-    case CgOutcome::kMaxIterations:
-      return "max-iterations";
-    case CgOutcome::kDenseFallback:
-      return "dense-fallback";
-    case CgOutcome::kBreakdown:
-      return "breakdown";
-  }
-  return "unknown";
-}
-
 CgResult ConjugateGradient(const LinearOperator& apply, const Tensor& b,
                            const CgOptions& options) {
   MSOPDS_CHECK_EQ(b.rank(), 1);

@@ -2,7 +2,6 @@
 #define MSOPDS_SOLVER_CONJUGATE_GRADIENT_H_
 
 #include <functional>
-#include <string>
 
 #include "tensor/tensor.h"
 
@@ -47,9 +46,6 @@ enum class CgOutcome {
   kDenseFallback = 2,
   kBreakdown = 3,
 };
-
-/// Human-readable outcome name.
-std::string CgOutcomeToString(CgOutcome outcome);
 
 /// Result of a conjugate gradient solve.
 struct CgResult {

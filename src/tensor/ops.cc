@@ -989,11 +989,6 @@ Variable EdgeDot(const Variable& a, const Variable& b, const IndexVec& ai,
       });
 }
 
-Variable Relu(const Variable& x) {
-  const Tensor mask = GreaterZeroMask(x.value());
-  return Where(mask, x, Constant(Tensor::Zeros(x.value().shape())));
-}
-
 Variable Selu(const Variable& x) {
   // Constants from Klambauer et al. (2017).
   constexpr double kScale = 1.0507009873554805;

@@ -43,7 +43,7 @@ Variable Reshape(const Variable& a, std::vector<int64_t> shape);
 
 /// Elementwise select with a *constant* mask (1 -> a, 0 -> b). The mask is
 /// treated as locally constant, which matches the a.e.-derivative of
-/// piecewise functions such as ReLU/SELU.
+/// piecewise functions such as SELU.
 Variable Where(const Tensor& mask, const Variable& a, const Variable& b);
 
 /// Constant {0,1} mask of x > 0 (by value).
@@ -109,9 +109,6 @@ Variable EdgeDot(const Variable& a, const Variable& b, const IndexVec& ai,
 // ---------------------------------------------------------------------------
 // Composites (no new primitives; differentiable to any order).
 // ---------------------------------------------------------------------------
-
-/// max(0, x) elementwise.
-Variable Relu(const Variable& x);
 
 /// Scaled exponential linear unit (Klambauer et al.), used by the
 /// Comprehensive Attack loss (paper Eq. (5)).

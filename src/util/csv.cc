@@ -6,30 +6,6 @@
 
 namespace msopds {
 
-StatusOr<std::vector<std::vector<std::string>>> ReadDelimited(
-    const std::string& path, char delimiter) {
-  auto with_lines = ReadDelimitedWithLines(path, delimiter);
-  if (!with_lines.ok()) return with_lines.status();
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(with_lines.value().size());
-  for (auto& row : with_lines.value()) {
-    rows.push_back(std::move(row.fields));
-  }
-  return rows;
-}
-
-StatusOr<std::vector<DelimitedRow>> ReadDelimitedWithLines(
-    const std::string& path, char delimiter) {
-  std::vector<DelimitedRow> rows;
-  const Status status = ForEachDelimitedRow(
-      path, delimiter, [&rows](const DelimitedRow& row, int64_t) {
-        rows.push_back(row);
-        return Status::Ok();
-      });
-  if (!status.ok()) return status;
-  return rows;
-}
-
 Status ForEachDelimitedRow(
     const std::string& path, char delimiter,
     const std::function<Status(const DelimitedRow& row, int64_t byte_offset)>&

@@ -9,12 +9,6 @@
 
 namespace msopds {
 
-/// Reads a delimiter-separated file into rows of fields. Blank lines and
-/// lines starting with '#' are skipped. Returns NotFound if the file cannot
-/// be opened.
-StatusOr<std::vector<std::vector<std::string>>> ReadDelimited(
-    const std::string& path, char delimiter);
-
 /// One parsed row plus the 1-based line it came from in the source file,
 /// so loaders can report errors as "path:line: reason".
 struct DelimitedRow {
@@ -22,17 +16,14 @@ struct DelimitedRow {
   int64_t line = 0;
 };
 
-/// Like ReadDelimited but preserves source line numbers (skipped blank /
-/// comment lines still advance the counter).
-StatusOr<std::vector<DelimitedRow>> ReadDelimitedWithLines(
-    const std::string& path, char delimiter);
-
-/// Streaming variant: one pass over the file, invoking `fn` for every
-/// non-blank, non-comment row with the parsed row and the byte offset of
-/// the start of its line. The row object (and the line buffer behind it)
-/// is reused between calls — copy out anything that must outlive the
-/// callback. A non-OK status from `fn` aborts the scan and is returned.
-/// Peak memory is one line, independent of file size.
+/// Reads a delimiter-separated file in one pass, invoking `fn` for every
+/// row with the parsed row and the byte offset of the start of its line.
+/// Blank lines and lines starting with '#' are skipped but still advance
+/// the line counter. Returns NotFound if the file cannot be opened. The
+/// row object (and the line buffer behind it) is reused between calls —
+/// copy out anything that must outlive the callback. A non-OK status from
+/// `fn` aborts the scan and is returned. Peak memory is one line,
+/// independent of file size.
 Status ForEachDelimitedRow(
     const std::string& path, char delimiter,
     const std::function<Status(const DelimitedRow& row, int64_t byte_offset)>&

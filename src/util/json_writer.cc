@@ -93,14 +93,18 @@ JsonWriter& JsonWriter::Key(const std::string& name) {
   MSOPDS_CHECK(!pending_key_) << "two keys in a row";
   if (needs_comma_.back()) Append(",");
   needs_comma_.back() = true;
-  Append("\"" + JsonEscape(name) + "\":");
+  Append("\"");
+  Append(JsonEscape(name));
+  Append("\":");
   pending_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::String(const std::string& value) {
   BeforeValue();
-  Append("\"" + JsonEscape(value) + "\"");
+  Append("\"");
+  Append(JsonEscape(value));
+  Append("\"");
   return *this;
 }
 

@@ -178,10 +178,11 @@ TEST(ExperimentTest, GameResultJsonIsWellFormed) {
 TEST(ExperimentTest, RunRepeatedCellAverages) {
   const Dataset base = TestWorld();
   MultiplayerGame game(base, FastGameConfig());
-  const CellStats stats = RunRepeatedCell(game, "Random", 2, 5, 2);
-  EXPECT_EQ(stats.repeats, 2);
-  EXPECT_GE(stats.mean_average_rating, kMinRating);
-  EXPECT_LE(stats.mean_average_rating, kMaxRating);
+  const CellOutcome outcome = RunRepeatedCellChecked(game, "Random", 2, 5, 2);
+  EXPECT_TRUE(outcome.ok);
+  EXPECT_EQ(outcome.stats.repeats, 2);
+  EXPECT_GE(outcome.stats.mean_average_rating, kMinRating);
+  EXPECT_LE(outcome.stats.mean_average_rating, kMaxRating);
 }
 
 }  // namespace

@@ -9,11 +9,6 @@
 namespace msopds {
 namespace {
 
-TEST(LossesTest, InjectionLossIsNegatedMean) {
-  Variable preds = Constant(Tensor::FromVector({2.0, 4.0}));
-  EXPECT_DOUBLE_EQ(InjectionLossFromPredictions(preds).value().item(), -3.0);
-}
-
 TEST(LossesTest, ComprehensiveLossZeroWhenTargetDominates) {
   // Target far above all competitors: SELU of a very negative number
   // saturates near -scale*alpha, so the loss is negative and small.

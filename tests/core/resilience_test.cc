@@ -138,18 +138,21 @@ TEST(ResilienceTest, ExhaustedRetriesDegradeToRecordedFailure) {
   EXPECT_EQ(outcome.stats.mean_average_rating, 0.0);
 }
 
-TEST(ResilienceTest, PartiallyUnhealthyCellAveragesOnlyHealthyRepeats) {
-  // Same cell, fault-free: the checked runner must agree with the
-  // legacy runner exactly.
+TEST(ResilienceTest, FaultFreeCellAveragesItsGames) {
+  // Fault-free, every repeat is healthy and the cell's stats are the mean
+  // of its games, summed from 0.0 in seed order.
   const Dataset world = TinyWorld();
   const MultiplayerGame game(world, FastGameConfig());
   const CellOutcome checked =
       RunRepeatedCellChecked(game, "Random", 2, /*seed=*/8, /*repeats=*/2);
-  const CellStats legacy = RunRepeatedCell(game, "Random", 2, 8, 2);
+  const GameResult first = game.Run(MakeAttackFactory("Random"), 2, 8);
+  const GameResult second = game.Run(MakeAttackFactory("Random"), 2, 9);
   EXPECT_TRUE(checked.ok);
   EXPECT_EQ(checked.unhealthy_repeats, 0);
-  EXPECT_EQ(checked.stats.mean_average_rating, legacy.mean_average_rating);
-  EXPECT_EQ(checked.stats.mean_hit_rate, legacy.mean_hit_rate);
+  EXPECT_EQ(checked.stats.mean_average_rating,
+            (0.0 + first.average_rating + second.average_rating) / 2);
+  EXPECT_EQ(checked.stats.mean_hit_rate,
+            (0.0 + first.hit_rate_at_3 + second.hit_rate_at_3) / 2);
   EXPECT_EQ(checked.stats.repeats, 2);
 }
 

@@ -28,17 +28,6 @@ TEST(UndirectedGraphTest, RejectsSelfLoopsAndDuplicates) {
   EXPECT_EQ(g.num_edges(), 1);
 }
 
-TEST(UndirectedGraphTest, RemoveEdge) {
-  UndirectedGraph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  EXPECT_TRUE(g.RemoveEdge(1, 0));
-  EXPECT_FALSE(g.RemoveEdge(0, 1));
-  EXPECT_EQ(g.num_edges(), 1);
-  EXPECT_FALSE(g.HasEdge(0, 1));
-  EXPECT_EQ(g.Degree(1), 1);
-}
-
 TEST(UndirectedGraphTest, NeighborsAndDegree) {
   UndirectedGraph g(4);
   g.AddEdge(0, 1);

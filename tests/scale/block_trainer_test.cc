@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "data/synthetic.h"
+#include "scale/shard_io.h"
 #include "scale/sharded_dataset.h"
+#include "shard_fixtures.h"
 #include "util/arena.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -95,19 +97,19 @@ void CheckBitIdentity(const Dataset& dataset,
 }
 
 TEST(BlockTrainerTest, BitIdenticalAcrossShardCountsThreadsAndArena) {
-  const Dataset dataset = TrainingDataset();
   for (int64_t shards : {1, 4}) {
-    const std::string dir = FreshDir(
-        StrFormat("ooc_shards_%lld", static_cast<long long>(shards)));
-    auto paths = WriteShards(dataset, dir, shards);
-    ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+    const IngestedShards ingested = IngestShards(
+        TrainingDataset(),
+        FreshDir(StrFormat("ooc_shards_%lld", static_cast<long long>(shards))),
+        shards);
+    ASSERT_EQ(static_cast<int64_t>(ingested.paths.size()), shards);
     for (int threads : {1, 4}) {
       for (bool arena_on : {false, true}) {
         const bool previous = Arena::Global().SetEnabled(arena_on);
         TrainOptions options;
         options.epochs = 4;
         options.num_threads = threads;
-        CheckBitIdentity(dataset, paths.value(), options,
+        CheckBitIdentity(ingested.dataset, ingested.paths, options,
                          StrFormat("shards=%lld threads=%d arena=%d",
                                    static_cast<long long>(shards), threads,
                                    arena_on ? 1 : 0));
@@ -118,14 +120,13 @@ TEST(BlockTrainerTest, BitIdenticalAcrossShardCountsThreadsAndArena) {
 }
 
 TEST(BlockTrainerTest, ReportsShardTraffic) {
-  const Dataset dataset = TrainingDataset();
-  const std::string dir = FreshDir("ooc_traffic");
-  auto paths = WriteShards(dataset, dir, 4);
-  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
-  MatrixFactorization model = FreshModel(dataset);
+  const IngestedShards ingested =
+      IngestShards(TrainingDataset(), FreshDir("ooc_traffic"), 4);
+  ASSERT_EQ(ingested.paths.size(), 4u);
+  MatrixFactorization model = FreshModel(ingested.dataset);
   TrainOptions options;
   options.epochs = 3;
-  auto result = TrainMfOutOfCore(&model, paths.value(), options);
+  auto result = TrainMfOutOfCore(&model, ingested.paths, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Each of the 3 epochs streams all 4 shards, plus the final loss pass.
   EXPECT_EQ(result.value().shards_visited, (3 + 1) * 4);
@@ -133,38 +134,52 @@ TEST(BlockTrainerTest, ReportsShardTraffic) {
 }
 
 TEST(BlockTrainerTest, RejectsModelShapeMismatch) {
-  const Dataset dataset = TrainingDataset();
-  const std::string dir = FreshDir("ooc_shape");
-  auto paths = WriteShards(dataset, dir, 2);
-  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+  const IngestedShards ingested =
+      IngestShards(TrainingDataset(), FreshDir("ooc_shape"), 2);
+  ASSERT_EQ(ingested.paths.size(), 2u);
   Rng init_rng(kInitSeed);
-  MatrixFactorization wrong_shape(dataset.num_users + 3, dataset.num_items,
-                                  MfConfig(), 3.0, &init_rng);
+  MatrixFactorization wrong_shape(ingested.dataset.num_users + 3,
+                                  ingested.dataset.num_items, MfConfig(), 3.0,
+                                  &init_rng);
   TrainOptions options;
   options.epochs = 1;
-  auto result = TrainMfOutOfCore(&wrong_shape, paths.value(), options);
+  auto result = TrainMfOutOfCore(&wrong_shape, ingested.paths, options);
   EXPECT_FALSE(result.ok());
 }
 
 TEST(BlockTrainerTest, RejectsShardSetWithoutRatings) {
-  Dataset empty;
-  empty.name = "no-ratings";
-  empty.num_users = 4;
-  empty.num_items = 3;
-  empty.social = UndirectedGraph(empty.num_users);
-  empty.items = UndirectedGraph(empty.num_items);
-  const std::string dir = FreshDir("ooc_no_ratings");
-  auto paths = WriteShards(empty, dir, 2);
-  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+  // Two well-formed shards of a 4-user, 3-item dataset with no ratings.
+  const ShardWriter writer(FreshDir("ooc_no_ratings"));
+  std::vector<std::string> paths;
+  for (int64_t s = 0; s < 2; ++s) {
+    ShardContents shard;
+    shard.shard_index = s;
+    shard.num_shards = 2;
+    const ShardRange users = PartitionRange(4, 2, s);
+    const ShardRange items = PartitionRange(3, 2, s);
+    shard.user_begin = users.begin;
+    shard.user_end = users.end;
+    shard.item_begin = items.begin;
+    shard.item_end = items.end;
+    shard.num_users = 4;
+    shard.num_items = 3;
+    shard.name = "no-ratings";
+    shard.rating_offsets.assign(static_cast<size_t>(shard.owned_users() + 1),
+                                0);
+    shard.social_offsets = shard.rating_offsets;
+    shard.item_offsets.assign(static_cast<size_t>(shard.owned_items() + 1), 0);
+    auto path = writer.Write(shard);
+    ASSERT_TRUE(path.ok()) << path.status().ToString();
+    paths.push_back(path.value());
+  }
   Rng init_rng(kInitSeed);
-  MatrixFactorization model(empty.num_users, empty.num_items, MfConfig(), 3.0,
-                            &init_rng);
+  MatrixFactorization model(4, 3, MfConfig(), 3.0, &init_rng);
   TrainOptions options;
   options.epochs = 1;
-  auto result = TrainMfOutOfCore(&model, paths.value(), options);
+  auto result = TrainMfOutOfCore(&model, paths, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find(paths.value().front()),
+  EXPECT_NE(result.status().message().find(paths.front()),
             std::string::npos)
       << result.status().ToString();
   EXPECT_NE(result.status().message().find("no ratings"), std::string::npos)

@@ -77,7 +77,8 @@ TEST(IngestTest, ShardsMergeBitIdenticalToLoadTsvAtEveryShardCount) {
       LoadTsv(fixture.ratings_path, fixture.trust_path, tsv_options);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  for (int64_t shards : {1, 3, 5}) {
+  // 8 shards is more than the fixture's 5 users: some shards are empty.
+  for (int64_t shards : {1, 3, 5, 8}) {
     const std::string shard_dir = dir + StrFormat("/shards_%lld",
                                                   static_cast<long long>(shards));
     IngestOptions options;
@@ -93,6 +94,9 @@ TEST(IngestTest, ShardsMergeBitIdenticalToLoadTsvAtEveryShardCount) {
               static_cast<int64_t>(reference.value().ratings.size()));
     EXPECT_EQ(stats.value().social_edges,
               reference.value().social.num_edges());
+    auto listed = ListShardPaths(shard_dir);
+    ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+    EXPECT_EQ(listed.value(), stats.value().shard_paths);
 
     auto merged = MergeShards(stats.value().shard_paths);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();

@@ -11,6 +11,7 @@
 
 #include "data/synthetic.h"
 #include "scale/shard_io.h"
+#include "shard_fixtures.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -49,13 +50,29 @@ void FlipByte(const std::string& path, int64_t offset) {
   file.write(&byte, 1);
 }
 
-/// Writes the test dataset as one shard and returns its path.
+/// Writes a one-shard set of a 3-user, 2-item dataset with ShardWriter
+/// and returns its path.
 std::string WriteOneShard(const std::string& dir_name) {
-  const std::string dir = FreshDir(dir_name);
-  auto paths = WriteShards(TestDataset(), dir, 1);
-  EXPECT_TRUE(paths.ok()) << paths.status().ToString();
-  EXPECT_EQ(paths.value().size(), 1u);
-  return paths.value().front();
+  ShardContents shard;
+  shard.user_end = 3;
+  shard.item_end = 2;
+  shard.num_users = 3;
+  shard.num_items = 2;
+  shard.total_ratings = 3;
+  shard.name = "shard-test";
+  // User 0 rated item 0; user 2 rated items 0 and 1.
+  shard.rating_offsets = {0, 1, 1, 3};
+  shard.rating_items = {0, 0, 1};
+  shard.rating_values = {4.0, 5.0, 2.0};
+  shard.rating_seqs = {0, 1, 2};
+  // Users 0 and 1 are friends; items 0 and 1 are linked.
+  shard.social_offsets = {0, 1, 2, 2};
+  shard.social_neighbors = {1, 0};
+  shard.item_offsets = {0, 1, 2};
+  shard.item_neighbors = {1, 0};
+  auto path = ShardWriter(FreshDir(dir_name)).Write(shard);
+  EXPECT_TRUE(path.ok()) << path.status().ToString();
+  return path.ok() ? path.value() : std::string();
 }
 
 TEST(PartitionTest, RangesTileExactlyAndOwnerAgrees) {
@@ -83,38 +100,6 @@ TEST(ShardFileNameTest, FixedWidthSoLexicographicOrderIsIndexOrder) {
   EXPECT_EQ(ShardFileName(0, 1), "shard-00000-of-00001.msd");
 }
 
-TEST(ShardRoundTripTest, MergeIsBitIdenticalAtEveryShardCount) {
-  const Dataset dataset = TestDataset();
-  for (int64_t shards : {1, 2, 4, 7}) {
-    const std::string dir =
-        FreshDir(StrFormat("shard_roundtrip_%lld", static_cast<long long>(shards)));
-    auto paths = WriteShards(dataset, dir, shards);
-    ASSERT_TRUE(paths.ok()) << paths.status().ToString();
-    ASSERT_EQ(static_cast<int64_t>(paths.value().size()), shards);
-
-    auto listed = ListShardPaths(dir);
-    ASSERT_TRUE(listed.ok()) << listed.status().ToString();
-    EXPECT_EQ(listed.value(), paths.value());
-
-    auto merged = MergeShards(listed.value());
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    std::string why;
-    EXPECT_TRUE(DatasetsIdentical(dataset, merged.value(), &why))
-        << "shards=" << shards << ": " << why;
-  }
-}
-
-TEST(ShardRoundTripTest, SurvivesMoreShardsThanUsers) {
-  const Dataset dataset = TestDataset();
-  const std::string dir = FreshDir("shard_roundtrip_sparse");
-  auto paths = WriteShards(dataset, dir, 100);
-  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
-  auto merged = MergeShards(paths.value());
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  std::string why;
-  EXPECT_TRUE(DatasetsIdentical(dataset, merged.value(), &why)) << why;
-}
-
 TEST(ShardRoundTripTest, UserMajorViewPreservesWithinUserOrder) {
   const Dataset dataset = TestDataset();
   const std::vector<Rating> view = UserMajorRatings(dataset);
@@ -131,12 +116,11 @@ TEST(ShardRoundTripTest, UserMajorViewPreservesWithinUserOrder) {
 }
 
 TEST(MergeShardsTest, RefusesIncompleteShardSet) {
-  const Dataset dataset = TestDataset();
-  const std::string dir = FreshDir("shard_incomplete");
-  auto paths = WriteShards(dataset, dir, 4);
-  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
-  std::vector<std::string> missing_one(paths.value().begin(),
-                                       paths.value().end() - 1);
+  const IngestedShards shards =
+      IngestShards(TestDataset(), FreshDir("shard_incomplete"), 4);
+  ASSERT_EQ(shards.paths.size(), 4u);
+  std::vector<std::string> missing_one(shards.paths.begin(),
+                                       shards.paths.end() - 1);
   auto merged = MergeShards(missing_one);
   EXPECT_FALSE(merged.ok());
 }
@@ -230,13 +214,13 @@ TEST(ShardReaderTest, RejectsTruncatedPayload) {
 }
 
 TEST(ShardReaderTest, RoundTripsHeaderFieldsAndName) {
-  const Dataset dataset = TestDataset();
-  const std::string dir = FreshDir("shard_header_fields");
-  auto paths = WriteShards(dataset, dir, 2);
-  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+  const IngestedShards shards =
+      IngestShards(TestDataset(), FreshDir("shard_header_fields"), 2);
+  ASSERT_EQ(shards.paths.size(), 2u);
+  const Dataset& dataset = shards.dataset;
   int64_t total_seen = 0;
   for (int64_t s = 0; s < 2; ++s) {
-    auto reader = ShardReader::Open(paths.value()[static_cast<size_t>(s)]);
+    auto reader = ShardReader::Open(shards.paths[static_cast<size_t>(s)]);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
     EXPECT_EQ(reader.value().shard_index(), s);
     EXPECT_EQ(reader.value().num_shards(), 2);

@@ -11,7 +11,6 @@
 
 #include "data/synthetic.h"
 #include "recsys/het_recsys.h"
-#include "recsys/lightgcn.h"
 #include "recsys/matrix_factorization.h"
 #include "recsys/metrics.h"
 #include "recsys/trainer.h"
@@ -72,11 +71,6 @@ void RunAnchorForAllModels(const Dataset& world) {
     TrainOptions options;
     options.epochs = 5;
     TrainModel(&model, world.ratings, options);
-    ExpectServedListsMatchOffline(&model, world);
-  }
-  {
-    Rng rng(2);
-    LightGcn model(world, LightGcnConfig{}, &rng);
     ExpectServedListsMatchOffline(&model, world);
   }
   {

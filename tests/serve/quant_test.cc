@@ -3,7 +3,7 @@
 // scalar bit parity over every vector-tail remainder class, the fixed
 // int8 score association, per-precision top-K bit-identity across
 // threads and SIMD on/off, int8 ranking parity (NDCG / hit rate vs the
-// fp64 reference) for all three victim models, deterministic tie order,
+// fp64 reference) for the MF and HetRecSys victims, deterministic tie order,
 // and precision hot-swap under live traffic.
 
 #include "serve/quantize.h"
@@ -20,7 +20,6 @@
 
 #include "data/synthetic.h"
 #include "recsys/het_recsys.h"
-#include "recsys/lightgcn.h"
 #include "recsys/matrix_factorization.h"
 #include "recsys/trainer.h"
 #include "serve/engine.h"
@@ -288,13 +287,6 @@ TEST(QuantRankingParityTest, MatrixFactorization) {
   options.epochs = 5;
   TrainModel(&model, world.ratings, options);
   ExpectRankingParity(&model, world, "mf");
-}
-
-TEST(QuantRankingParityTest, LightGcn) {
-  const Dataset world = SmallWorld();
-  Rng rng(2);
-  LightGcn model(world, LightGcnConfig{}, &rng);
-  ExpectRankingParity(&model, world, "lightgcn");
 }
 
 TEST(QuantRankingParityTest, HetRecSys) {

@@ -7,7 +7,6 @@
 
 #include "data/synthetic.h"
 #include "recsys/het_recsys.h"
-#include "recsys/lightgcn.h"
 #include "recsys/matrix_factorization.h"
 #include "recsys/trainer.h"
 #include "util/arena.h"
@@ -61,21 +60,14 @@ TEST(ModelSnapshotTest, MatrixFactorizationScoresBitIdentical) {
   ExpectBitIdenticalScores(&model, *snapshot, world);
 }
 
-TEST(ModelSnapshotTest, LightGcnScoresBitIdentical) {
-  const Dataset world = SmallWorld();
-  Rng rng(2);
-  LightGcn model(world, LightGcnConfig{}, &rng);
-  auto snapshot = ModelSnapshot::FromModel(&model, world);
-  EXPECT_FALSE(snapshot->has_user_bias());
-  EXPECT_FALSE(snapshot->has_item_bias());
-  ExpectBitIdenticalScores(&model, *snapshot, world);
-}
-
 TEST(ModelSnapshotTest, HetRecSysScoresBitIdentical) {
   const Dataset world = SmallWorld();
   Rng rng(3);
   HetRecSys model(world, HetRecSysConfig{}, &rng);
   auto snapshot = ModelSnapshot::FromModel(&model, world);
+  // Factors plus an offset, no biases: the bias-free snapshot path.
+  EXPECT_FALSE(snapshot->has_user_bias());
+  EXPECT_FALSE(snapshot->has_item_bias());
   ExpectBitIdenticalScores(&model, *snapshot, world);
 }
 

@@ -142,12 +142,15 @@ std::vector<GradCase> MakeCases() {
                                                MakeIndex({1, 0}))));
                    },
                    {RandomMatrix(2, 3, &rng), RandomMatrix(2, 3, &rng)}});
-  cases.push_back({"relu",
+  // Fixed points: a draw from `rng` here would change the points of every
+  // later case.
+  cases.push_back({"matmul_nt",
                    [](const std::vector<Variable>& v) {
-                     return Sum(Relu(v[0]));
+                     return Sum(Square(MatMulNT(v[0], v[1])));
                    },
-                   // Away from the kink for clean finite differences.
-                   {Tensor::FromVector({-0.9, -0.3, 0.4, 1.2})}});
+                   {Tensor::FromMatrix(2, 3, {0.3, -0.7, 0.5, 1.1, 0.2, -0.4}),
+                    Tensor::FromMatrix(3, 3, {-0.6, 0.8, 0.1, 0.4, -0.2, 0.9,
+                                              0.7, 0.3, -0.5})}});
   cases.push_back({"selu",
                    [](const std::vector<Variable>& v) {
                      return Sum(Selu(v[0]));

@@ -145,9 +145,8 @@ TEST(OpsTest, EdgeDotMatchesManual) {
   EXPECT_TRUE(AllClose(out.value(), Tensor::FromVector({23, 39})));
 }
 
-TEST(OpsTest, ReluSeluSigmoidValues) {
+TEST(OpsTest, SeluSigmoidValues) {
   Variable x = Constant(Tensor::FromVector({-1.0, 0.5}));
-  EXPECT_TRUE(AllClose(Relu(x).value(), Tensor::FromVector({0.0, 0.5})));
   const Tensor selu = Selu(x).value();
   EXPECT_NEAR(selu.at(1), 1.0507009873554805 * 0.5, 1e-12);
   EXPECT_NEAR(selu.at(0),
