@@ -1,20 +1,25 @@
 #ifndef MSOPDS_BENCH_BENCH_UTIL_H_
 #define MSOPDS_BENCH_BENCH_UTIL_H_
 
-// Shared flag parsing, table formatting and the one sweep driver of the
-// paper benches (table3, fig6-fig9). Every table/figure binary accepts:
-//   --scale=F      synthetic dataset scale (default 0.12; paper size = 1.0)
-//   --repeats=N    games averaged per cell (default 1)
+// Shared flag declarations, table formatting and the one sweep driver of
+// the paper benches (table3, fig6-fig9). Every table/figure binary
+// accepts (util/flags; a malformed or out-of-range value exits 2, naming
+// the flag):
+//   --scale=F      synthetic dataset scale in [0.002, 100] (default 0.12;
+//                  paper size = 1.0)
+//   --repeats=N    games averaged per cell, >= 1 (default per bench)
 //   --seed=N       base RNG seed (default 7)
 //   --datasets=a,b comma list from {ciao, epinions, librarything}
-//   --budgets=2,3  attacker budget levels b
-//   --opponents=1,2 opponent counts (fig6) / opponent budgets (fig7)
+//   --budgets=2,3  attacker budget levels b, each in [1, 100]
+//   --opponents=1,2 opponent counts (fig6) / opponent budgets (fig7),
+//                  each in [1, 100]
 //   --methods=a,b  override the method list
-//   --threads=N    kernel thread count (0 = MSOPDS_THREADS / hardware);
-//                  metrics are bit-identical at any N, timings are not
+//   --threads=N    kernel thread count in [0, 256] (0 = MSOPDS_THREADS /
+//                  hardware); metrics are bit-identical at any N, timings
+//                  are not
 //   --workers=N    run the cells in N worker processes (re-executions of
-//                  the bench); 0, the default, runs them in this process.
-//                  The tables are the same at any N
+//                  the bench), N in [0, 256]; 0, the default, runs them
+//                  in this process. The tables are the same at any N
 //
 // Resilience-runtime flags (see DESIGN.md "Resilience runtime"):
 //   --checkpoint=DIR        sweep work directory (per-worker segments and
@@ -22,8 +27,9 @@
 //                           command skips the cells already recorded
 //                           there. Default: a temporary directory
 //   --fault_nan=P           inject NaNs into trainer + surrogate gradient
-//                           steps with probability P per step
+//                           steps with probability P in [0, 1] per step
 //   --fault_cg=P            simulated CG operator breakdown probability
+//                           in [0, 1]
 //   --fault_seed=N          seed of the fault streams; each cell draws
 //                           from streams seeded by (N, its key)
 //   --fault_crash_cell=N    simulate a crash (exit 42) of the process that
@@ -51,12 +57,14 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "data/synthetic.h"
 #include "scale/orchestrator.h"
 #include "serve/engine.h"
 #include "util/arena.h"
 #include "util/checkpoint.h"
 #include "util/determinism_lint.h"
 #include "util/fault.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -280,8 +288,9 @@ inline void WriteRepStatsFields(JsonWriter* json, const std::string& prefix,
 
 struct BenchFlags {
   double scale = 0.12;
-  /// 0 = "use the bench's own default" (see ResolveRepeats).
-  int repeats = 0;
+  /// Games averaged per cell; each bench sets its own default before
+  /// parsing.
+  int repeats = 1;
   uint64_t seed = 7;
   std::vector<std::string> datasets = {"ciao", "epinions", "librarything"};
   std::vector<int> budgets = {2, 3, 4, 5};
@@ -305,64 +314,37 @@ struct BenchFlags {
   int worker_id = 0;
   std::string segment;
 
-  static BenchFlags Parse(int argc, char** argv) {
-    BenchFlags flags;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value_of = [&](const char* prefix) -> const char* {
-        const size_t n = std::string(prefix).size();
-        if (arg.rfind(prefix, 0) == 0) return arg.c_str() + n;
-        return nullptr;
-      };
-      if (const char* v = value_of("--scale=")) {
-        flags.scale = std::atof(v);
-      } else if (const char* v = value_of("--repeats=")) {
-        flags.repeats = std::atoi(v);
-      } else if (const char* v = value_of("--seed=")) {
-        flags.seed = static_cast<uint64_t>(std::atoll(v));
-      } else if (const char* v = value_of("--datasets=")) {
-        flags.datasets.clear();
-        for (auto& part : StrSplit(v, ',')) flags.datasets.push_back(part);
-      } else if (const char* v = value_of("--budgets=")) {
-        flags.budgets.clear();
-        for (auto& part : StrSplit(v, ','))
-          flags.budgets.push_back(std::atoi(part.c_str()));
-      } else if (const char* v = value_of("--opponents=")) {
-        flags.opponents.clear();
-        for (auto& part : StrSplit(v, ','))
-          flags.opponents.push_back(std::atoi(part.c_str()));
-      } else if (const char* v = value_of("--methods=")) {
-        flags.methods.clear();
-        for (auto& part : StrSplit(v, ',')) flags.methods.push_back(part);
-      } else if (const char* v = value_of("--threads=")) {
-        flags.threads = std::atoi(v);
-      } else if (const char* v = value_of("--checkpoint=")) {
-        flags.checkpoint = v;
-      } else if (const char* v = value_of("--fault_nan=")) {
-        flags.fault_nan = std::atof(v);
-      } else if (const char* v = value_of("--fault_cg=")) {
-        flags.fault_cg = std::atof(v);
-      } else if (const char* v = value_of("--fault_seed=")) {
-        flags.fault_seed = static_cast<uint64_t>(std::atoll(v));
-      } else if (const char* v = value_of("--fault_crash_cell=")) {
-        flags.fault_crash_cell = std::atoi(v);
-      } else if (const char* v = value_of("--workers=")) {
-        flags.workers = std::atoi(v);
-      } else if (const char* v = value_of("--worker_id=")) {
-        flags.worker_id = std::atoi(v);
-      } else if (const char* v = value_of("--segment=")) {
-        flags.segment = v;
-      } else {
-        std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-        std::exit(2);
-      }
-    }
-    return flags;
+  /// Declares the flags of every bench that plays games: --scale,
+  /// --repeats, --seed, --datasets, --methods and --threads. Names are
+  /// checked later, by CheckExperimentNames.
+  void DeclareGameFlags(FlagSet* flags) {
+    flags->Double("--scale", &scale, kMinProfileScale, kMaxProfileScale);
+    flags->Int("--repeats", &repeats, 1);
+    flags->Int("--seed", &seed, 0);
+    flags->StringList("--datasets", &datasets);
+    flags->StringList("--methods", &methods);
+    flags->Int("--threads", &threads, 0, ThreadPool::kMaxThreads);
   }
 
-  /// Repeats to use given this bench's default.
-  int ResolveRepeats(int bench_default) const {
-    return repeats > 0 ? repeats : bench_default;
+  /// Parses a paper sweep's command line: the game flags, then --budgets
+  /// and --opponents (attacker budget levels, and opponent counts or
+  /// budget levels; a level is a percentage of the user count, see
+  /// AttackBudget::FromLevel), the resilience flags, --workers and the
+  /// orchestrator's --worker_id and --segment.
+  Status Parse(int argc, char** argv) {
+    FlagSet flags(argv[0]);
+    DeclareGameFlags(&flags);
+    flags.IntList("--budgets", &budgets, 1, 100);
+    flags.IntList("--opponents", &opponents, 1, 100);
+    flags.String("--checkpoint", &checkpoint);
+    flags.Double("--fault_nan", &fault_nan, 0.0, 1.0);
+    flags.Double("--fault_cg", &fault_cg, 0.0, 1.0);
+    flags.Int("--fault_seed", &fault_seed, 0);
+    flags.Int("--fault_crash_cell", &fault_crash_cell, -1);
+    flags.Int("--workers", &workers, 0, 256);
+    flags.Int("--worker_id", &worker_id, 0);
+    flags.String("--segment", &segment);
+    return flags.Parse(argc, argv);
   }
 
   /// The fault plan one sweep cell runs under. Its seed mixes
@@ -578,10 +560,7 @@ inline void PrintHeader(const std::string& first,
 inline int RunPaperSweep(int argc, char** argv, const BenchFlags& flags,
                          const PaperSweep& sweep) {
   const Status names = CheckExperimentNames(flags.datasets, flags.methods);
-  if (!names.ok()) {
-    std::fprintf(stderr, "%s\n", names.message().c_str());
-    return 2;
-  }
+  if (!names.ok()) return UsageError(names);
   if (flags.threads > 0) ThreadPool::Global().SetNumThreads(flags.threads);
   if (!flags.segment.empty()) {
     PaperCells cells(

@@ -94,40 +94,20 @@ ModeratedResult RunModeratedGame(const Dataset& base,
   return result;
 }
 
-// This bench plays one fixed budget in this process, so of BenchFlags
-// it takes only these; the sweep, budget, opponent and fault-drill flags
-// would be ignored, and are refused instead.
-const char* const kUsedFlags[] = {"--scale",   "--repeats", "--seed",
-                                  "--datasets", "--methods", "--threads"};
-
 int Main(int argc, char** argv) {
-  bool datasets_given = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string name = arg.substr(0, arg.find('='));
-    if (std::find(std::begin(kUsedFlags), std::end(kUsedFlags), name) ==
-        std::end(kUsedFlags)) {
-      std::string used;
-      for (const char* flag : kUsedFlags) {
-        used += std::string(used.empty() ? "" : ", ") + flag;
-      }
-      std::fprintf(stderr, "ext_moderation does not take %s; it takes %s\n",
-                   name.c_str(), used.c_str());
-      return 2;
-    }
-    if (name == "--datasets") datasets_given = true;
-  }
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
-  flags.repeats = flags.ResolveRepeats(2);
-  if (flags.methods.empty()) {
-    flags.methods = {"Random", "RevAdv", "Trial", "MSOPDS-real", "MSOPDS"};
-  }
-  if (!datasets_given) flags.datasets = {"epinions"};
+  // This bench plays one fixed budget in this process, so it declares
+  // only the game flags: the sweep, budget, opponent and fault-drill
+  // flags would be ignored, and are unknown instead.
+  BenchFlags flags;
+  flags.repeats = 2;
+  flags.datasets = {"epinions"};
+  flags.methods = {"Random", "RevAdv", "Trial", "MSOPDS-real", "MSOPDS"};
+  FlagSet flag_set(argv[0]);
+  flags.DeclareGameFlags(&flag_set);
+  const Status parsed = flag_set.Parse(argc, argv);
+  if (!parsed.ok()) return UsageError(parsed);
   const Status names = CheckExperimentNames(flags.datasets, flags.methods);
-  if (!names.ok()) {
-    std::fprintf(stderr, "%s\n", names.message().c_str());
-    return 2;
-  }
+  if (!names.ok()) return UsageError(names);
   if (flags.threads > 0) ThreadPool::Global().SetNumThreads(flags.threads);
   const int budget = 5;
 

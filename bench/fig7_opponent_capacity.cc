@@ -12,9 +12,11 @@ namespace msopds {
 namespace {
 
 int Main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
-  flags.repeats = flags.ResolveRepeats(1);
-  if (flags.methods.empty()) flags.methods = StandardMethods();
+  BenchFlags flags;
+  flags.repeats = 1;
+  flags.methods = StandardMethods();
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return UsageError(parsed);
   const int attacker_budget = 5;
 
   PaperSweep sweep;

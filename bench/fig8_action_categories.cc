@@ -15,11 +15,13 @@ namespace msopds {
 namespace {
 
 int Main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
-  flags.repeats = flags.ResolveRepeats(2);
-  if (flags.methods.empty()) flags.methods = Fig8Methods();
+  BenchFlags flags;
+  flags.repeats = 2;
   // The paper runs this ablation on Epinions.
-  if (flags.datasets.size() == 3) flags.datasets = {"epinions"};
+  flags.datasets = {"epinions"};
+  flags.methods = Fig8Methods();
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return UsageError(parsed);
 
   PaperSweep sweep;
   sweep.title = StrFormat(

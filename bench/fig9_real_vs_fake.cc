@@ -15,10 +15,12 @@ namespace msopds {
 namespace {
 
 int Main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
-  flags.repeats = flags.ResolveRepeats(2);
-  if (flags.methods.empty()) flags.methods = Fig9Methods();
-  if (flags.datasets.size() == 3) flags.datasets = {"epinions"};
+  BenchFlags flags;
+  flags.repeats = 2;
+  flags.datasets = {"epinions"};
+  flags.methods = Fig9Methods();
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return UsageError(parsed);
 
   PaperSweep sweep;
   sweep.title = StrFormat(

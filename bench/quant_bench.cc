@@ -16,16 +16,17 @@
 // BENCH_simd.json) writes the committed BENCH_quant.json at the repo
 // root with --reps=3 --dot_ms=50.
 //
-// Flags:
-//   --users=N --items=N --dim=D   synthetic snapshot size (default
-//                                 2000 x 4000 x 64)
-//   --k=N                         list length (default 10)
-//   --threads=a,b                 kernel thread counts (default 1,4)
-//   --reps=N                      repetitions per cell (default 3)
-//   --dot_ms=F                    min milliseconds per dot repetition
-//                                 (default 50)
-//   --sample_users=N              users scored per TopK/fidelity cell
-//                                 (default 256)
+// Flags (a malformed or out-of-range value exits 2, naming the flag):
+//   --users=N --items=N --dim=D   synthetic snapshot size, each >= 1
+//                                 (default 2000 x 4000 x 64)
+//   --k=N                         list length, >= 1 (default 10)
+//   --threads=a,b                 kernel thread counts, each in [1, 256]
+//                                 (default 1,4)
+//   --reps=N                      repetitions per cell, >= 1 (default 3)
+//   --dot_ms=F                    min milliseconds per dot repetition,
+//                                 >= 0 (default 50)
+//   --sample_users=N              users scored per TopK/fidelity cell,
+//                                 >= 1 (default 256)
 //   --seed=N                      RNG seed (default 7)
 //   --json_out=PATH               output table (default BENCH_quant.json)
 
@@ -44,9 +45,9 @@
 #include "serve/quantize.h"
 #include "serve/topk.h"
 #include "tensor/simd.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace msopds {
@@ -64,43 +65,19 @@ struct QuantBenchFlags {
   uint64_t seed = 7;
   std::string json_out = "BENCH_quant.json";
 
-  static QuantBenchFlags Parse(int argc, char** argv) {
-    QuantBenchFlags flags;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value_of = [&](const char* prefix) -> const char* {
-        const size_t n = std::string(prefix).size();
-        if (arg.rfind(prefix, 0) == 0) return arg.c_str() + n;
-        return nullptr;
-      };
-      if (const char* v = value_of("--users=")) {
-        flags.users = std::atoll(v);
-      } else if (const char* v = value_of("--items=")) {
-        flags.items = std::atoll(v);
-      } else if (const char* v = value_of("--dim=")) {
-        flags.dim = std::atoll(v);
-      } else if (const char* v = value_of("--k=")) {
-        flags.k = std::atoi(v);
-      } else if (const char* v = value_of("--threads=")) {
-        flags.threads.clear();
-        for (auto& part : StrSplit(v, ','))
-          flags.threads.push_back(std::atoi(part.c_str()));
-      } else if (const char* v = value_of("--reps=")) {
-        flags.reps = std::atoi(v);
-      } else if (const char* v = value_of("--dot_ms=")) {
-        flags.dot_ms = std::atof(v);
-      } else if (const char* v = value_of("--sample_users=")) {
-        flags.sample_users = std::atoll(v);
-      } else if (const char* v = value_of("--seed=")) {
-        flags.seed = static_cast<uint64_t>(std::atoll(v));
-      } else if (const char* v = value_of("--json_out=")) {
-        flags.json_out = v;
-      } else {
-        std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-        std::exit(2);
-      }
-    }
-    return flags;
+  Status Parse(int argc, char** argv) {
+    FlagSet flags(argv[0]);
+    flags.Int("--users", &users, 1);
+    flags.Int("--items", &items, 1);
+    flags.Int("--dim", &dim, 1);
+    flags.Int("--k", &k, 1);
+    flags.IntList("--threads", &threads, 1, ThreadPool::kMaxThreads);
+    flags.Int("--reps", &reps, 1);
+    flags.Double("--dot_ms", &dot_ms, 0.0);
+    flags.Int("--sample_users", &sample_users, 1);
+    flags.Int("--seed", &seed, 0);
+    flags.String("--json_out", &json_out);
+    return flags.Parse(argc, argv);
   }
 };
 
@@ -231,7 +208,9 @@ struct PrecisionRow {
 };
 
 int Main(int argc, char** argv) {
-  const QuantBenchFlags flags = QuantBenchFlags::Parse(argc, argv);
+  QuantBenchFlags flags;
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return UsageError(parsed);
   const auto fp64 = MakeFp64Snapshot(flags);
 
   const int64_t sample =

@@ -14,11 +14,13 @@
 // bit-identical to each other by the TrainMfOutOfCore contract; the
 // JSON records final_loss so a drift would be visible in review.
 //
-// Flags (master mode):
-//   --users=a,b,c        user counts (default 65536,262144,1048576)
-//   --ratings_per_user=N rating rows per user (default 6)
-//   --epochs=N           training epochs per arm (default 2)
-//   --dim=D              MF latent dim (default 8)
+// Flags (master mode; a malformed or out-of-range value exits 2, naming
+// the flag):
+//   --users=a,b,c        user counts, each >= 1 (default
+//                        65536,262144,1048576)
+//   --ratings_per_user=N rating rows per user, >= 1 (default 6)
+//   --epochs=N           training epochs per arm, >= 1 (default 2)
+//   --dim=D              MF latent dim, >= 1 (default 8)
 //   --seed=N             RNG seed (default 7)
 //   --work_dir=PATH      scratch root (default <tmp>/msopds_scale_bench)
 //   --keep_work_dir      do not delete the scratch tree at the end
@@ -40,6 +42,7 @@
 #include "scale/block_trainer.h"
 #include "scale/ingest.h"
 #include "scale/sharded_dataset.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -64,54 +67,26 @@ struct ScaleBenchFlags {
   std::string shard_dir;
   int64_t shards = 1;
   std::string result_out;
-};
 
-ScaleBenchFlags ParseFlags(int argc, char** argv) {
-  ScaleBenchFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&](const char* prefix) -> const char* {
-      const size_t n = std::string(prefix).size();
-      if (arg.rfind(prefix, 0) == 0) return arg.c_str() + n;
-      return nullptr;
-    };
-    if (const char* v = value_of("--users=")) {
-      flags.users.clear();
-      for (auto& part : StrSplit(v, ','))
-        flags.users.push_back(std::atoll(part.c_str()));
-    } else if (const char* v = value_of("--ratings_per_user=")) {
-      flags.ratings_per_user = std::atoll(v);
-    } else if (const char* v = value_of("--epochs=")) {
-      flags.epochs = std::atoi(v);
-    } else if (const char* v = value_of("--dim=")) {
-      flags.dim = std::atoll(v);
-    } else if (const char* v = value_of("--seed=")) {
-      flags.seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (const char* v = value_of("--work_dir=")) {
-      flags.work_dir = v;
-    } else if (arg == "--keep_work_dir") {
-      flags.keep_work_dir = true;
-    } else if (const char* v = value_of("--json_out=")) {
-      flags.json_out = v;
-    } else if (const char* v = value_of("--phase=")) {
-      flags.phase = v;
-    } else if (const char* v = value_of("--ratings=")) {
-      flags.ratings_path = v;
-    } else if (const char* v = value_of("--trust=")) {
-      flags.trust_path = v;
-    } else if (const char* v = value_of("--shard_dir=")) {
-      flags.shard_dir = v;
-    } else if (const char* v = value_of("--shards=")) {
-      flags.shards = std::atoll(v);
-    } else if (const char* v = value_of("--result_out=")) {
-      flags.result_out = v;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      std::exit(2);
-    }
+  Status Parse(int argc, char** argv) {
+    FlagSet flags(argv[0]);
+    flags.IntList("--users", &users, 1);
+    flags.Int("--ratings_per_user", &ratings_per_user, 1);
+    flags.Int("--epochs", &epochs, 1);
+    flags.Int("--dim", &dim, 1);
+    flags.Int("--seed", &seed, 0);
+    flags.String("--work_dir", &work_dir);
+    flags.Bool("--keep_work_dir", &keep_work_dir);
+    flags.String("--json_out", &json_out);
+    flags.Choice("--phase", &phase, {"ingest", "train"});
+    flags.String("--ratings", &ratings_path);
+    flags.String("--trust", &trust_path);
+    flags.String("--shard_dir", &shard_dir);
+    flags.Int("--shards", &shards, 1);
+    flags.String("--result_out", &result_out);
+    return flags.Parse(argc, argv);
   }
-  return flags;
-}
+};
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -378,13 +353,11 @@ int MasterMain(const ScaleBenchFlags& flags, const char* argv0) {
 }
 
 int Main(int argc, char** argv) {
-  const ScaleBenchFlags flags = ParseFlags(argc, argv);
+  ScaleBenchFlags flags;
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return UsageError(parsed);
   if (flags.phase == "ingest") return IngestPhase(flags);
   if (flags.phase == "train") return TrainPhase(flags);
-  if (!flags.phase.empty()) {
-    std::fprintf(stderr, "unknown --phase=%s\n", flags.phase.c_str());
-    return 2;
-  }
   return MasterMain(flags, argv[0]);
 }
 

@@ -22,15 +22,21 @@
 // milliseconds during closed/open/overload phases; the chaos phase
 // republishes deterministically every 50 requests instead.
 //
-// Flags:
-//   --users=N --items=N --dim=D   synthetic snapshot size (default
-//                                 4000 x 8000 x 32)
-//   --k=N                         list length per request (default 10)
-//   --seconds=F                   measurement window per row (default 1.0)
-//   --clients=N                   closed-loop client threads (default 8)
-//   --qps=N                       open-loop arrival rate (default 2000)
-//   --threads=a,b,c               kernel thread counts (default 1,2,4)
-//   --batch=N --wait_us=N         micro-batcher shape (default 64 / 200)
+// Flags (a malformed or out-of-range value exits 2, naming the flag):
+//   --users=N --items=N --dim=D   synthetic snapshot size, each >= 1
+//                                 (default 4000 x 8000 x 32)
+//   --k=N                         list length per request, >= 1
+//                                 (default 10)
+//   --seconds=F                   measurement window per row, in
+//                                 [0, 3600] (default 1.0)
+//   --clients=N                   closed-loop client threads, in [1, 256]
+//                                 (default 8)
+//   --qps=N                       open-loop arrival rate, in [1, 1e7]
+//                                 (default 2000)
+//   --threads=a,b,c               kernel thread counts, each in [1, 256]
+//                                 (default 1,2,4)
+//   --batch=N --wait_us=N         micro-batcher shape, batch >= 1
+//                                 (default 64 / 200)
 //   --max_queue=N                 admission queue cap (default 0 = off for
 //                                 closed/open rows; overload row uses
 //                                 4*batch when set to 0)
@@ -40,15 +46,18 @@
 //                                 popularity fallback (default 0 = off)
 //   --max_batch_cost=N            per-batch cost cap in units of k
 //                                 (default 0 = off)
-//   --retry_attempts=N            retry client attempts (default 4)
+//   --retry_attempts=N            retry client attempts, >= 1 (default 4)
 //   --retry_budget_us=N           retry client total budget (default
 //                                 200000)
 //   --overload=0/1                emit the overload pair (default 1)
-//   --overload_factor=F           offered load vs capacity (default 2.0)
+//   --overload_factor=F           offered load vs capacity, in [0, 100]
+//                                 (default 2.0)
 //   --chaos_requests=N            chaos phase length (default 200)
 //   --fault_seed=N --fault_publish=P --fault_score=P
 //   --fault_batch_delay=P --fault_batch_delay_us=N
-//                                 chaos fault plan (all off by default)
+//                                 chaos fault plan (all off by default);
+//                                 probabilities in [0, 1], except
+//                                 --fault_publish in [0, 0.99]
 //   --precision=fp64|int8         snapshot storage precision published to
 //                                 the engine (default fp64); rows record it
 //   --swap_ms=N                   snapshot republish period (default 100;
@@ -56,12 +65,12 @@
 //   --seed=N                      RNG seed (default 7)
 //   --json_out=PATH               output table; parent directories are
 //                                 created (default BENCH_serving.json)
+// Counts and durations not bounded above must be >= 0.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
@@ -74,9 +83,9 @@
 #include "serve/engine.h"
 #include "serve/model_snapshot.h"
 #include "util/fault.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace msopds {
@@ -108,7 +117,7 @@ struct ServeBenchFlags {
   double fault_batch_delay = 0.0;
   int64_t fault_batch_delay_us = 50000;
   int64_t swap_ms = 100;
-  serve::SnapshotPrecision precision = serve::SnapshotPrecision::kFp64;
+  std::string precision = "fp64";
   uint64_t seed = 7;
   std::string json_out = "BENCH_serving.json";
 
@@ -117,82 +126,38 @@ struct ServeBenchFlags {
            fault_batch_delay > 0.0;
   }
 
-  static ServeBenchFlags Parse(int argc, char** argv) {
-    ServeBenchFlags flags;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value_of = [&](const char* prefix) -> const char* {
-        const size_t n = std::string(prefix).size();
-        if (arg.rfind(prefix, 0) == 0) return arg.c_str() + n;
-        return nullptr;
-      };
-      if (const char* v = value_of("--users=")) {
-        flags.users = std::atoll(v);
-      } else if (const char* v = value_of("--items=")) {
-        flags.items = std::atoll(v);
-      } else if (const char* v = value_of("--dim=")) {
-        flags.dim = std::atoll(v);
-      } else if (const char* v = value_of("--k=")) {
-        flags.k = std::atoi(v);
-      } else if (const char* v = value_of("--seconds=")) {
-        flags.seconds = std::atof(v);
-      } else if (const char* v = value_of("--clients=")) {
-        flags.clients = std::atoi(v);
-      } else if (const char* v = value_of("--qps=")) {
-        flags.qps = std::atoi(v);
-      } else if (const char* v = value_of("--threads=")) {
-        flags.threads.clear();
-        for (auto& part : StrSplit(v, ','))
-          flags.threads.push_back(std::atoi(part.c_str()));
-      } else if (const char* v = value_of("--batch=")) {
-        flags.batch = std::atoi(v);
-      } else if (const char* v = value_of("--wait_us=")) {
-        flags.wait_us = std::atoll(v);
-      } else if (const char* v = value_of("--max_queue=")) {
-        flags.max_queue = std::atoll(v);
-      } else if (const char* v = value_of("--deadline_us=")) {
-        flags.deadline_us = std::atoll(v);
-      } else if (const char* v = value_of("--degrade_depth=")) {
-        flags.degrade_depth = std::atoll(v);
-      } else if (const char* v = value_of("--max_batch_cost=")) {
-        flags.max_batch_cost = std::atoll(v);
-      } else if (const char* v = value_of("--retry_attempts=")) {
-        flags.retry_attempts = std::atoi(v);
-      } else if (const char* v = value_of("--retry_budget_us=")) {
-        flags.retry_budget_us = std::atoll(v);
-      } else if (const char* v = value_of("--overload=")) {
-        flags.overload = std::atoi(v) != 0;
-      } else if (const char* v = value_of("--overload_factor=")) {
-        flags.overload_factor = std::atof(v);
-      } else if (const char* v = value_of("--chaos_requests=")) {
-        flags.chaos_requests = std::atoi(v);
-      } else if (const char* v = value_of("--fault_seed=")) {
-        flags.fault_seed = static_cast<uint64_t>(std::atoll(v));
-      } else if (const char* v = value_of("--fault_publish=")) {
-        flags.fault_publish = std::atof(v);
-      } else if (const char* v = value_of("--fault_score=")) {
-        flags.fault_score = std::atof(v);
-      } else if (const char* v = value_of("--fault_batch_delay=")) {
-        flags.fault_batch_delay = std::atof(v);
-      } else if (const char* v = value_of("--fault_batch_delay_us=")) {
-        flags.fault_batch_delay_us = std::atoll(v);
-      } else if (const char* v = value_of("--swap_ms=")) {
-        flags.swap_ms = std::atoll(v);
-      } else if (const char* v = value_of("--precision=")) {
-        if (!serve::ParseSnapshotPrecision(v, &flags.precision)) {
-          std::fprintf(stderr, "bad --precision (fp64|int8): %s\n", v);
-          std::exit(2);
-        }
-      } else if (const char* v = value_of("--seed=")) {
-        flags.seed = static_cast<uint64_t>(std::atoll(v));
-      } else if (const char* v = value_of("--json_out=")) {
-        flags.json_out = v;
-      } else {
-        std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-        std::exit(2);
-      }
-    }
-    return flags;
+  Status Parse(int argc, char** argv) {
+    FlagSet flags(argv[0]);
+    flags.Int("--users", &users, 1);
+    flags.Int("--items", &items, 1);
+    flags.Int("--dim", &dim, 1);
+    flags.Int("--k", &k, 1);
+    flags.Double("--seconds", &seconds, 0.0, 3600.0);
+    flags.Int("--clients", &clients, 1, 256);
+    flags.Int("--qps", &qps, 1, 10000000);
+    flags.IntList("--threads", &threads, 1, ThreadPool::kMaxThreads);
+    flags.Int("--batch", &batch, 1);
+    flags.Int("--wait_us", &wait_us, 0);
+    flags.Int("--max_queue", &max_queue, 0);
+    flags.Int("--deadline_us", &deadline_us, 0);
+    flags.Int("--degrade_depth", &degrade_depth, 0);
+    flags.Int("--max_batch_cost", &max_batch_cost, 0);
+    flags.Int("--retry_attempts", &retry_attempts, 1);
+    flags.Int("--retry_budget_us", &retry_budget_us, 0);
+    flags.Bool("--overload", &overload);
+    flags.Double("--overload_factor", &overload_factor, 0.0, 100.0);
+    flags.Int("--chaos_requests", &chaos_requests, 0);
+    flags.Int("--fault_seed", &fault_seed, 0);
+    // The chaos phase needs its first publish to land.
+    flags.Double("--fault_publish", &fault_publish, 0.0, 0.99);
+    flags.Double("--fault_score", &fault_score, 0.0, 1.0);
+    flags.Double("--fault_batch_delay", &fault_batch_delay, 0.0, 1.0);
+    flags.Int("--fault_batch_delay_us", &fault_batch_delay_us, 0);
+    flags.Int("--swap_ms", &swap_ms, 0);
+    flags.Choice("--precision", &precision, {"fp64", "int8"});
+    flags.Int("--seed", &seed, 0);
+    flags.String("--json_out", &json_out);
+    return flags.Parse(argc, argv);
   }
 
   serve::EngineOptions MakeEngineOptions() const {
@@ -238,7 +203,7 @@ std::shared_ptr<const serve::ModelSnapshot> MakeSnapshot(
   serve::SnapshotOptions options;
   options.version = version;
   options.source = "mf-bench";
-  options.precision = flags.precision;
+  serve::ParseSnapshotPrecision(flags.precision, &options.precision);
   return serve::ModelSnapshot::FromModel(&model, dataset, options);
 }
 
@@ -489,7 +454,7 @@ void WriteTable(const ServeBenchFlags& flags,
     json.Key("mean_batch_size").Double(row.stats.mean_batch_size);
     json.Key("publishes").Int(row.stats.publishes);
     WriteRobustnessFields(&json, row.stats, row.retries,
-                          serve::SnapshotPrecisionName(flags.precision));
+                          flags.precision);
     json.EndObject();
   }
   json.EndArray();
@@ -513,7 +478,9 @@ void PrintRow(const RowResult& row) {
 }
 
 int Main(int argc, char** argv) {
-  const ServeBenchFlags flags = ServeBenchFlags::Parse(argc, argv);
+  ServeBenchFlags flags;
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return UsageError(parsed);
   std::printf("%-18s %8s %10s %12s %10s %10s %8s %8s %8s %8s\n", "mode",
               "threads", "requests", "qps", "p50_us", "p99_us", "rejected",
               "shed", "degraded", "maxq");

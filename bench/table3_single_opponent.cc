@@ -12,9 +12,11 @@ namespace msopds {
 namespace {
 
 int Main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
-  flags.repeats = flags.ResolveRepeats(2);
-  if (flags.methods.empty()) flags.methods = StandardMethods();
+  BenchFlags flags;
+  flags.repeats = 2;
+  flags.methods = StandardMethods();
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return UsageError(parsed);
 
   PaperSweep sweep;
   sweep.title = StrFormat(

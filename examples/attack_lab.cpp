@@ -7,24 +7,18 @@
 //       [--budget=5] [--opponents=1] [--opponent-budget=2]
 //       [--scale=0.12] [--seed=7] [--json]
 //
+// A malformed or out-of-range value, or an unknown dataset or method,
+// exits 2 before anything runs.
+//
 // With --json the result is printed as a single JSON object (see
 // msopds::GameResultToJson), convenient for scripting sweeps.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/experiment.h"
-
-namespace {
-
-const char* ValueOf(const std::string& arg, const char* prefix) {
-  const size_t n = std::string(prefix).size();
-  if (arg.rfind(prefix, 0) == 0) return arg.c_str() + n;
-  return nullptr;
-}
-
-}  // namespace
+#include "data/synthetic.h"
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
   std::string dataset_name = "epinions";
@@ -36,29 +30,23 @@ int main(int argc, char** argv) {
   uint64_t seed = 7;
   bool as_json = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (const char* v = ValueOf(arg, "--dataset=")) {
-      dataset_name = v;
-    } else if (const char* v = ValueOf(arg, "--method=")) {
-      method = v;
-    } else if (const char* v = ValueOf(arg, "--budget=")) {
-      budget = std::atoi(v);
-    } else if (const char* v = ValueOf(arg, "--opponents=")) {
-      opponents = std::atoi(v);
-    } else if (const char* v = ValueOf(arg, "--opponent-budget=")) {
-      opponent_budget = std::atoi(v);
-    } else if (const char* v = ValueOf(arg, "--scale=")) {
-      scale = std::atof(v);
-    } else if (const char* v = ValueOf(arg, "--seed=")) {
-      seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (arg == "--json") {
-      as_json = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  // Budget levels are percentages of the user count
+  // (AttackBudget::FromLevel).
+  msopds::FlagSet flags(argv[0]);
+  flags.String("--dataset", &dataset_name);
+  flags.String("--method", &method);
+  flags.Int("--budget", &budget, 1, 100);
+  flags.Int("--opponents", &opponents, 0, 100);
+  flags.Int("--opponent-budget", &opponent_budget, 1, 100);
+  flags.Double("--scale", &scale, msopds::kMinProfileScale,
+               msopds::kMaxProfileScale);
+  flags.Int("--seed", &seed, 0);
+  flags.Bool("--json", &as_json);
+  const msopds::Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return msopds::UsageError(parsed);
+  const msopds::Status names =
+      msopds::CheckExperimentNames({dataset_name}, {method});
+  if (!names.ok()) return msopds::UsageError(names);
 
   const msopds::Dataset base =
       msopds::MakeExperimentDataset(dataset_name, scale, seed);

@@ -7,6 +7,7 @@
 // real public dumps).
 //
 // Build & run:  ./build/examples/dataset_tour [scale]
+// (scale in [0.002, 100], default 0.15)
 
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "data/synthetic.h"
 #include "data/tsv_loader.h"
 #include "graph/graph_stats.h"
+#include "util/flags.h"
 
 using msopds::ComputeGraphStats;
 using msopds::Dataset;
@@ -24,7 +26,12 @@ using msopds::GraphStats;
 using msopds::Rng;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.15;
+  double scale = 0.15;
+  msopds::FlagSet flags(argv[0]);
+  flags.Double("scale", &scale, msopds::kMinProfileScale,
+               msopds::kMaxProfileScale);
+  const msopds::Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return msopds::UsageError(parsed);
 
   for (const auto& config :
        {msopds::CiaoProfile(scale), msopds::EpinionsProfile(scale),

@@ -8,11 +8,12 @@
 // against MSOPDS, which anticipates the rivals' moves.
 //
 // Build & run:  ./build/examples/marketplace_war [max_opponents]
+// (max_opponents in [0, 100], default 3)
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiment.h"
+#include "util/flags.h"
 
 using msopds::Dataset;
 using msopds::GameConfig;
@@ -20,7 +21,11 @@ using msopds::GameResult;
 using msopds::MultiplayerGame;
 
 int main(int argc, char** argv) {
-  const int max_opponents = argc > 1 ? std::atoi(argv[1]) : 3;
+  int max_opponents = 3;
+  msopds::FlagSet flags(argv[0]);
+  flags.Int("max_opponents", &max_opponents, 0, 100);
+  const msopds::Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return msopds::UsageError(parsed);
   const Dataset base =
       msopds::MakeExperimentDataset("epinions", 0.12, 11);
   std::printf("market: %s\n\n", base.Summary().c_str());

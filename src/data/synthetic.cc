@@ -1,6 +1,7 @@
 #include "data/synthetic.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <unordered_set>
 
@@ -15,25 +16,38 @@ int64_t Scaled(int64_t value, double scale) {
                                   static_cast<double>(value) * scale)));
 }
 
+// Shape parameters every profile shares. P(rating == k) for k = 1..5,
+// normalized when drawn: the J-shaped histogram typical of e-commerce
+// ratings.
+constexpr std::array<double, 5> kRatingHistogram = {0.05, 0.07, 0.13, 0.30,
+                                                    0.45};
+// Zipf exponents of user activity and item popularity.
+constexpr double kUserActivityAlpha = 0.9;
+constexpr double kItemPopularityAlpha = 1.0;
+// Std-dev of per-(user,item) rating noise around item quality + user
+// bias before discretization.
+constexpr double kRatingNoise = 0.8;
+// Jaccard threshold for the item graph (paper: shares over 50%).
+constexpr double kItemGraphOverlap = 0.5;
+
 // Draws a rating from item quality + user bias + noise, discretized to 1..5,
-// then nudged toward the configured marginal histogram via a mixture.
-double DrawRating(const SyntheticConfig& config, double item_quality,
-                  double user_bias, Rng* rng) {
+// then nudged toward the marginal histogram via a mixture.
+double DrawRating(double item_quality, double user_bias, Rng* rng) {
   // With probability 0.5 sample from the global histogram, otherwise from
   // the personalized model; this matches both the marginal distribution and
   // per-item consistency.
   if (rng->Bernoulli(0.5)) {
     double total = 0.0;
-    for (double p : config.rating_histogram) total += p;
+    for (double p : kRatingHistogram) total += p;
     double u = rng->Uniform() * total;
     for (int k = 0; k < 5; ++k) {
-      u -= config.rating_histogram[static_cast<size_t>(k)];
+      u -= kRatingHistogram[static_cast<size_t>(k)];
       if (u <= 0.0) return static_cast<double>(k + 1);
     }
     return 5.0;
   }
   const double raw =
-      item_quality + user_bias + rng->Normal(0.0, config.rating_noise);
+      item_quality + user_bias + rng->Normal(0.0, kRatingNoise);
   const double clamped = std::min(kMaxRating, std::max(kMinRating, raw));
   return std::round(clamped);
 }
@@ -119,14 +133,14 @@ Dataset GenerateSynthetic(const SyntheticConfig& config, Rng* rng) {
          attempts < max_attempts) {
     ++attempts;
     const int64_t u = user_rank[static_cast<size_t>(
-        rng->Zipf(config.num_users, config.user_activity_alpha))];
+        rng->Zipf(config.num_users, kUserActivityAlpha))];
     const int64_t i = item_rank[static_cast<size_t>(
-        rng->Zipf(config.num_items, config.item_popularity_alpha))];
+        rng->Zipf(config.num_items, kItemPopularityAlpha))];
     const uint64_t key =
         (static_cast<uint64_t>(u) << 32) | static_cast<uint64_t>(i);
     if (!rated.insert(key).second) continue;
     const double value =
-        DrawRating(config, item_quality[static_cast<size_t>(i)],
+        DrawRating(item_quality[static_cast<size_t>(i)],
                    user_bias[static_cast<size_t>(u)], rng);
     dataset.ratings.push_back({u, i, value});
   }
@@ -139,13 +153,13 @@ Dataset GenerateSynthetic(const SyntheticConfig& config, Rng* rng) {
     if (user_count[static_cast<size_t>(u)] > 0) continue;
     for (int64_t tries = 0; tries < 100; ++tries) {
       const int64_t i = item_rank[static_cast<size_t>(
-          rng->Zipf(config.num_items, config.item_popularity_alpha))];
+          rng->Zipf(config.num_items, kItemPopularityAlpha))];
       const uint64_t key =
           (static_cast<uint64_t>(u) << 32) | static_cast<uint64_t>(i);
       if (rated.insert(key).second) {
         dataset.ratings.push_back(
             {u, i,
-             DrawRating(config, item_quality[static_cast<size_t>(i)],
+             DrawRating(item_quality[static_cast<size_t>(i)],
                         user_bias[static_cast<size_t>(u)], rng)});
         break;
       }
@@ -189,7 +203,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& config, Rng* rng) {
   for (const Rating& r : dataset.ratings)
     records.push_back({r.user, r.item});
   ItemGraphOptions item_options;
-  item_options.overlap_fraction = config.item_graph_overlap;
+  item_options.overlap_fraction = kItemGraphOverlap;
   dataset.items = BuildItemGraph(records, config.num_items, item_options);
 
   const Status status = dataset.Validate();

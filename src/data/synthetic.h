@@ -1,7 +1,6 @@
 #ifndef MSOPDS_DATA_SYNTHETIC_H_
 #define MSOPDS_DATA_SYNTHETIC_H_
 
-#include <array>
 #include <string>
 
 #include "data/dataset.h"
@@ -24,26 +23,15 @@ struct SyntheticConfig {
   int64_t num_ratings = 8000;
   int64_t num_social_links = 9000;
 
-  /// P(rating == k) for k = 1..5; normalized internally. Default is the
-  /// J-shaped histogram typical of e-commerce ratings.
-  std::array<double, 5> rating_histogram = {0.05, 0.07, 0.13, 0.30, 0.45};
-
-  /// Zipf exponents for user activity, item popularity, and social-degree
-  /// propensity.
-  double user_activity_alpha = 0.9;
-  double item_popularity_alpha = 1.0;
+  /// Zipf exponent of social-degree propensity. (The rating histogram,
+  /// the activity and popularity exponents, the rating noise and the item
+  /// graph's overlap threshold are the same for every profile; see
+  /// synthetic.cc.)
   double social_degree_alpha = 0.8;
 
   /// Fraction of social edges closed as triangles (friend-of-friend),
   /// giving realistic clustering.
   double triadic_closure_fraction = 0.3;
-
-  /// Std-dev of per-(user,item) rating noise around item quality + user
-  /// bias before discretization.
-  double rating_noise = 0.8;
-
-  /// Jaccard threshold for the item graph (paper: shares over 50%).
-  double item_graph_overlap = 0.5;
 };
 
 /// Profiles reproducing the paper's three datasets (§VI-A1), scaled by
@@ -52,6 +40,13 @@ struct SyntheticConfig {
 SyntheticConfig CiaoProfile(double scale = 1.0);
 SyntheticConfig EpinionsProfile(double scale = 1.0);
 SyntheticConfig LibraryThingProfile(double scale = 1.0);
+
+/// The profile scales the binaries accept. Below the floor the smallest
+/// profile (LibraryThing, 1108 users) rounds to one user, which
+/// SampleDemographics rejects; the ceiling is 100 times the published
+/// sizes.
+inline constexpr double kMinProfileScale = 0.002;
+inline constexpr double kMaxProfileScale = 100.0;
 
 /// Generates a dataset (ratings + social network + co-rating item graph).
 /// Deterministic given (config, rng state). The result passes

@@ -29,6 +29,10 @@ namespace msopds {
 namespace scale {
 namespace {
 
+// A cell that was in flight on this many crashed workers fails the run
+// (guards against a cell that deterministically kills its host).
+constexpr int kMaxAttemptsPerCell = 3;
+
 std::string SegmentFileName(int worker_id, int64_t generation) {
   return StrFormat("segment-w%d-g%lld.jsonl", worker_id,
                    static_cast<long long>(generation));
@@ -398,7 +402,7 @@ StatusOr<OrchestratorResult> SweepOrchestrator::Run(
       const std::string key = worker->current_key;
       worker->current_key.clear();
       const int tries = ++attempts[key];
-      if (tries >= options_.max_attempts_per_cell) {
+      if (tries >= kMaxAttemptsPerCell) {
         return fail(StrFormat(
             "cell '%s' was in flight on %d crashed workers; giving up",
             key.c_str(), tries));

@@ -30,9 +30,6 @@ struct OrchestratorOptions {
   /// orchestrator appends --worker_id=<id> and --segment=<path>; the
   /// worker must then speak the stdin/stdout protocol of RunWorkerLoop.
   std::vector<std::string> worker_argv;
-  /// A cell that was in flight on this many crashed workers fails the
-  /// run (guards against a cell that deterministically kills its host).
-  int max_attempts_per_cell = 3;
 };
 
 /// Outcome of one orchestrated sweep.

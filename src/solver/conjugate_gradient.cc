@@ -12,6 +12,13 @@
 namespace msopds {
 namespace {
 
+// The breakdown recovery ladder (CgOptions): restarts after the first
+// attempt, the damping factor of each restart, and the damping the first
+// restart installs when the caller's damping is 0.
+constexpr int kMaxDampingRetries = 2;
+constexpr double kDampingEscalation = 10.0;
+constexpr double kMinRecoveryDamping = 1e-8;
+
 double DotProduct(const Tensor& a, const Tensor& b) {
   MSOPDS_CHECK_EQ(a.size(), b.size());
   double s = 0.0;
@@ -99,8 +106,6 @@ CgResult ConjugateGradient(const LinearOperator& apply, const Tensor& b,
                            const CgOptions& options) {
   MSOPDS_CHECK_EQ(b.rank(), 1);
   MSOPDS_CHECK_GT(options.max_iterations, 0);
-  MSOPDS_CHECK_GE(options.max_damping_retries, 0);
-  MSOPDS_CHECK_GT(options.damping_escalation, 1.0);
 
   CgResult result;
   result.solution = Tensor::Zeros(b.shape());
@@ -140,10 +145,10 @@ CgResult ConjugateGradient(const LinearOperator& apply, const Tensor& b,
       options.relative_tolerance * std::max(1.0, b_norm);
 
   double damping = options.damping;
-  for (int attempt = 0; attempt <= options.max_damping_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxDampingRetries; ++attempt) {
     if (attempt > 0) {
-      damping = damping == 0.0 ? options.min_recovery_damping
-                               : damping * options.damping_escalation;
+      damping = damping == 0.0 ? kMinRecoveryDamping
+                               : damping * kDampingEscalation;
       ++result.damping_retries;
     }
     Attempt run = RunAttempt(effective, b, damping,

@@ -22,14 +22,10 @@ struct CgOptions {
   double damping = 0.0;
 
   // --- Breakdown recovery ---
-  /// On breakdown — a non-finite residual/curvature or p·Ap <= 0, i.e.
-  /// the operator is not positive definite at this damping — the solve
-  /// restarts with damping escalated by this factor, up to
-  /// `max_damping_retries` restarts.
-  double damping_escalation = 10.0;
-  int max_damping_retries = 2;
-  /// Damping installed by the first escalation when `damping` is 0.
-  double min_recovery_damping = 1e-8;
+  // On breakdown — a non-finite residual/curvature or p·Ap <= 0, i.e.
+  // the operator is not positive definite at this damping — the solve
+  // restarts up to twice, each time with the damping escalated tenfold
+  // (1e-8 when `damping` is 0).
   /// When every damped restart also breaks down and the system is at
   /// most this large, the (damped) operator is materialized column by
   /// column and handed to the dense Gaussian-elimination solver as a

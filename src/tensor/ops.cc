@@ -1048,8 +1048,8 @@ Variable SquaredNorm(const Variable& x) { return Sum(Mul(x, x)); }
 // ---------------------------------------------------------------------------
 // Shape-inference registry. One OpSpec per primitive recorded above; the
 // GraphVerifier replays these checks over recorded graphs, and the
-// gradcheck examples let tools/verify_graph sweep every op with first- and
-// second-order finite-difference checks.
+// gradcheck examples let registry_gradcheck_test sweep every op with
+// first- and second-order finite-difference checks.
 // ---------------------------------------------------------------------------
 
 namespace {

@@ -132,12 +132,6 @@ class Tensor {
     if (data_) data_->BumpGeneration();
   }
 
-  /// Buffer identity: equal for tensors aliasing the same storage, and
-  /// stable for the storage's lifetime. nullptr for undefined tensors.
-  /// Used by GraphStats to deduplicate shared buffers when accounting
-  /// live bytes.
-  const void* buffer_id() const { return data_.get(); }
-
   /// True when this handle is the only reference to the buffer. Grad()'s
   /// value mode accumulates in place only when this holds — mutating a
   /// shared buffer would corrupt aliases, so it clones first otherwise.

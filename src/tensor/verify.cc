@@ -120,31 +120,28 @@ void CheckNode(Node* node, const GraphVerifier::Options& options,
   // inputs nor a backward (they act as constants).
   if (node->inputs.empty()) return;
 
-  if (options.check_requires_grad) {
-    bool any_input_grad = false;
-    for (const Variable& input : node->inputs) {
-      any_input_grad = any_input_grad || input.requires_grad();
-    }
-    if (node->requires_grad && !any_input_grad) {
-      diagnostics->push_back(
-          {DiagSeverity::kError, node, node->op_name,
-           "requires_grad set but no input requires grad (unsound "
-           "propagation; Grad() would differentiate a constant)"});
-    } else if (!node->requires_grad && any_input_grad) {
-      diagnostics->push_back(
-          {DiagSeverity::kError, node, node->op_name,
-           "requires_grad dropped: an input requires grad but this node "
-           "does not, silently cutting its gradient path"});
-    }
-    if (node->requires_grad && !node->backward) {
-      diagnostics->push_back(
-          {DiagSeverity::kError, node, node->op_name,
-           "interior requires-grad node has no backward function"});
-    }
+  bool any_input_grad = false;
+  for (const Variable& input : node->inputs) {
+    any_input_grad = any_input_grad || input.requires_grad();
+  }
+  if (node->requires_grad && !any_input_grad) {
+    diagnostics->push_back(
+        {DiagSeverity::kError, node, node->op_name,
+         "requires_grad set but no input requires grad (unsound "
+         "propagation; Grad() would differentiate a constant)"});
+  } else if (!node->requires_grad && any_input_grad) {
+    diagnostics->push_back(
+        {DiagSeverity::kError, node, node->op_name,
+         "requires_grad dropped: an input requires grad but this node "
+         "does not, silently cutting its gradient path"});
+  }
+  if (node->requires_grad && !node->backward) {
+    diagnostics->push_back(
+        {DiagSeverity::kError, node, node->op_name,
+         "interior requires-grad node has no backward function"});
   }
 
-  if (options.check_stale_inputs &&
-      node->input_generations.size() == node->inputs.size()) {
+  if (node->input_generations.size() == node->inputs.size()) {
     for (size_t i = 0; i < node->inputs.size(); ++i) {
       const Node* in = node->inputs[i].node().get();
       if (in == nullptr) continue;
@@ -162,14 +159,11 @@ void CheckNode(Node* node, const GraphVerifier::Options& options,
     }
   }
 
-  if (!options.check_shapes) return;
   const OpSpec* spec = FindOpSpec(node->op_name);
   if (spec == nullptr) {
-    if (options.warn_unknown_ops) {
-      diagnostics->push_back(
-          {DiagSeverity::kWarning, node, node->op_name,
-           "op is not in the shape-inference registry; shapes unchecked"});
-    }
+    diagnostics->push_back(
+        {DiagSeverity::kWarning, node, node->op_name,
+         "op is not in the shape-inference registry; shapes unchecked"});
     return;
   }
   if (spec->arity != static_cast<int>(node->inputs.size())) {
@@ -348,36 +342,20 @@ VerifyResult GraphVerifier::Verify(const Variable& root) const {
     return result;
   }
 
-  if (options_.check_cycles) {
-    FindCycles(root.node().get(), &result.diagnostics);
-    // A cyclic graph has no well-defined node checks beyond the cycle
-    // report, and the accounting walks are guarded but meaningless.
-    if (!result.diagnostics.empty()) return result;
-  }
+  FindCycles(root.node().get(), &result.diagnostics);
+  // A cyclic graph has no well-defined node checks beyond the cycle
+  // report, and the accounting walks are guarded but meaningless.
+  if (!result.diagnostics.empty()) return result;
 
-  const std::vector<Node*> nodes = CollectNodes(root.node().get());
-  // Buffer-identity dedup: tensors aliasing one storage (shallow copies,
-  // zero-copy views) count once toward the arena footprint.
-  std::unordered_set<const void*> seen_buffers;
-  seen_buffers.reserve(nodes.size());
-  for (Node* node : nodes) {
+  for (Node* node : CollectNodes(root.node().get())) {
     CheckNode(node, options_, &result.diagnostics, &result.stats);
     ++result.stats.num_nodes;
     result.stats.num_edges += static_cast<int64_t>(node->inputs.size());
-    const int64_t payload =
+    result.stats.value_bytes +=
         node->value.size() * static_cast<int64_t>(sizeof(double));
-    result.stats.value_bytes += payload;
-    const void* buffer = node->value.buffer_id();
-    if (buffer != nullptr && seen_buffers.insert(buffer).second) {
-      result.stats.live_bytes += payload;
-      if (!node->inputs.empty()) result.stats.releasable_bytes += payload;
-    }
     if (node->inputs.empty()) {
       ++result.stats.num_leaves;
       if (node->requires_grad) ++result.stats.num_params;
-    } else if (const OpSpec* spec = FindOpSpec(node->op_name);
-               spec != nullptr && spec->parallel_kernel) {
-      ++result.stats.num_parallel_kernel_nodes;
     }
     ++result.stats.op_counts[node->op_name];
   }

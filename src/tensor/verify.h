@@ -19,7 +19,7 @@ namespace msopds {
 // value against the recorded input values, and (for most ops) a small
 // deterministic gradcheck example. The registry is the ground truth the
 // GraphVerifier checks recorded graphs against, and the op inventory that
-// tools/verify_graph exhaustively gradchecks.
+// registry_gradcheck_test exhaustively gradchecks.
 // ---------------------------------------------------------------------------
 
 /// A deterministic scalar-valued test point exercising one op, suitable for
@@ -79,8 +79,8 @@ struct WritePlan {
 };
 
 /// Deterministic input/output shapes that exercise an op's write plan
-/// with a multi-chunk grid, for registry-wide sweeps (tools/verify_graph
-/// --overlap-only) where no recorded node supplies shapes.
+/// with a multi-chunk grid, for registry-wide sweeps (overlap_verify_test)
+/// where no recorded node supplies shapes.
 struct PlanExample {
   std::vector<std::vector<int64_t>> input_shapes;
   std::vector<int64_t> output_shape;
@@ -104,8 +104,7 @@ struct OpSpec {
   std::function<GradcheckCase()> example;
   /// True when the op's kernel runs on the ThreadPool chunk grid (all of
   /// them currently do, via elementwise, row-partitioned, or
-  /// destination-bucketed scheduling). Surfaces in GraphStats so
-  /// verify_graph can report how much of a recorded graph parallelizes.
+  /// destination-bucketed scheduling); such an op must carry a write_plan.
   bool parallel_kernel = false;
   /// Rebuilds the kernel's chunk grid and per-chunk write ranges from
   /// shapes (mirroring the grain constants in ops.cc). Null only for ops
@@ -161,18 +160,7 @@ struct GraphStats {
   int64_t num_params = 0;     // leaves with requires_grad
   int64_t num_edges = 0;
   int64_t value_bytes = 0;    // payload bytes across unique node tensors
-  /// Payload bytes across unique *buffers* (tensors sharing storage via
-  /// copies or views are counted once): the graph's actual arena
-  /// footprint.
-  int64_t live_bytes = 0;
-  /// The subset of live_bytes held by interior (non-leaf) nodes — the
-  /// bytes a first-order backward pass releases back to the arena once
-  /// the graph handle is dropped; leaves (params, constants) typically
-  /// outlive the tape.
-  int64_t releasable_bytes = 0;
   int64_t max_depth = 0;      // longest input chain, leaves at depth 1
-  /// Recorded non-leaf nodes whose OpSpec has parallel_kernel set.
-  int64_t num_parallel_kernel_nodes = 0;
   /// Nodes whose write plan was rebuilt and overlap-checked, and the
   /// total chunk count across those plans (the number of disjointness
   /// obligations discharged).
@@ -202,6 +190,8 @@ struct VerifyResult {
 ///     schedule and leak the ref-counted graph),
 ///   - stale-input hazards (an input tensor whose generation changed after
 ///     the node recorded it, e.g. a leaf mutated by mutable_value()),
+///   - a warning for recorded ops missing from the registry (their shapes
+///     go unchecked),
 ///   - node/byte accounting (GraphStats).
 /// The two-argument overload additionally flags requested gradient inputs
 /// that are detached from `root` (not reachable, or not requiring grad):
@@ -209,17 +199,11 @@ struct VerifyResult {
 class GraphVerifier {
  public:
   struct Options {
-    bool check_shapes = true;
-    bool check_requires_grad = true;
-    bool check_cycles = true;
-    bool check_stale_inputs = true;
     /// Rebuild each registered node's chunk-grid write plan from its
     /// recorded shapes and reject overlapping destination ranges or
     /// unordered reduction lanes (runs only after the shape check
     /// passes, so plans see consistent shapes).
     bool check_write_overlap = true;
-    /// Emit a warning for recorded ops missing from the registry.
-    bool warn_unknown_ops = true;
   };
 
   GraphVerifier() = default;

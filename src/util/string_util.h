@@ -16,7 +16,8 @@ std::string_view StripWhitespace(std::string_view text);
 /// Parses a double; returns false on malformed input (no CHECK).
 bool ParseDouble(std::string_view text, double* value);
 
-/// Parses a non-negative int64; returns false on malformed input.
+/// Parses a decimal int64 (a sign is allowed); returns false on
+/// malformed or out-of-range input.
 bool ParseInt64(std::string_view text, int64_t* value);
 
 /// printf-style formatting into a std::string.

@@ -1,7 +1,7 @@
 // Exhaustive registry sweep: every op with a gradcheck example must pass
 // first-order (MaxGradError) and second-order (MaxHvpError) checks, its
 // example graph must verify cleanly, and the registry must cover every
-// primitive ops.cc records. This is the ctest twin of tools/verify_graph.
+// primitive ops.cc records.
 
 #include <gtest/gtest.h>
 

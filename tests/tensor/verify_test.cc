@@ -50,6 +50,35 @@ TEST_F(VerifyTest, CleanGradGraphHasNoDiagnostics) {
   EXPECT_TRUE(result.diagnostics.empty()) << result.Report();
 }
 
+// The shape MSO differentiates through, in miniature (PDS Algorithm 1's
+// inner loop): two unrolled functional gradient steps of an embedding
+// table driven by SpMM messages, each through an inner Grad, then a
+// ranking-style readout.
+TEST_F(VerifyTest, CleanUnrolledInnerGradGraphHasNoDiagnostics) {
+  Variable emb = Param(Tensor::FromMatrix(
+      4, 2, {0.1, -0.2, 0.3, 0.4, -0.5, 0.2, 0.05, -0.15}));
+  Variable w = Param(Tensor::FromVector({0.9, 0.3, -0.4, 0.7, 0.2}));
+  const IndexVec dst = MakeIndex({0, 1, 2, 3, 0});
+  const IndexVec src = MakeIndex({1, 0, 3, 2, 2});
+  Variable h = emb;
+  for (int step = 0; step < 2; ++step) {
+    Variable messages = SpMM(dst, src, w, h, 4);
+    Variable scores = EdgeDot(h, messages, MakeIndex({0, 1, 2, 3}),
+                              MakeIndex({0, 1, 2, 3}));
+    Variable loss = Sum(Square(
+        Sub(scores, Constant(Tensor::FromVector({0.5, -0.1, 0.2, 0.3})))));
+    h = Sub(h, ScalarMul(Grad(loss, {h})[0], 0.05));
+  }
+  Variable readout = Add(Sum(Square(h)), SquaredNorm(w));
+  const VerifyResult result = GraphVerifier().Verify(readout, {emb, w});
+  EXPECT_TRUE(result.ok());
+  EXPECT_TRUE(result.diagnostics.empty()) << result.Report();
+  EXPECT_EQ(result.stats.num_params, 2);
+  EXPECT_GT(result.stats.num_write_planned_nodes, 0);
+  EXPECT_GE(result.stats.num_planned_chunks,
+            result.stats.num_write_planned_nodes);
+}
+
 TEST_F(VerifyTest, StatsAccounting) {
   Variable x = Param(Tensor::FromVector({1, 2, 3}));
   Variable c = Constant(Tensor::FromVector({4, 5, 6}));

@@ -5,30 +5,25 @@
 // Usage:
 //   determinism_lint [--root=DIR] [--quiet]
 //
-// --root defaults to "src" relative to the current directory. Exits 0 when the tree is clean, 1 when any
-// finding is reported, 2 on usage/IO errors.
+// --root defaults to "src" relative to the current directory. Exits 0
+// when the tree is clean, 1 when any finding is reported, 2 on usage/IO
+// errors.
 
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <string>
 
 #include "util/determinism_lint.h"
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
   std::string root = "src";
   bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--root=", 0) == 0) {
-      root = arg.substr(std::strlen("--root="));
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      std::cerr << "usage: determinism_lint [--root=DIR] [--quiet]\n";
-      return 2;
-    }
-  }
+  msopds::FlagSet flags(argv[0]);
+  flags.String("--root", &root);
+  flags.Bool("--quiet", &quiet);
+  const msopds::Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return msopds::UsageError(parsed);
   if (!std::filesystem::is_directory(root)) {
     std::cerr << "determinism_lint: no such directory: " << root << "\n";
     return 2;
