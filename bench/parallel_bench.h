@@ -13,8 +13,9 @@
 // the kernels are bit-identical at any thread count, so the table
 // measures scheduling overhead and scaling, never accuracy).
 //
-// MSOPDS_BENCH_THREADS overrides the parallel side of the comparison
-// (default 4). On a single-core host speedups near (or below) 1.0 are
+// MSOPDS_BENCH_THREADS, a count in [1, ThreadPool::kMaxThreads]
+// (util/env.h), overrides the parallel side of the comparison (default
+// 4). On a single-core host speedups near (or below) 1.0 are
 // expected; the table still records pool overhead.
 //
 // Memory profile: benches that publish counters prefixed "mem_"
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "util/env.h"
 #include "util/json_writer.h"
 #include "util/thread_pool.h"
 
@@ -42,11 +44,8 @@ namespace bench {
 
 /// Thread count of the parallel side of each comparison pair.
 inline int ComparisonThreads() {
-  if (const char* env = std::getenv("MSOPDS_BENCH_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
-  }
-  return 4;
+  return static_cast<int>(
+      EnvCount("MSOPDS_BENCH_THREADS", ThreadPool::kMaxThreads, 4));
 }
 
 /// Registers (size, 1) and (size, ComparisonThreads()) argument pairs so

@@ -115,8 +115,8 @@ BENCHMARK(BM_SimdMatMulForward)
 
 void BM_SimdMatMulBackward(benchmark::State& state) {
   // The two backward kernels in isolation (ops.cc): grad_a = g·Bᵀ via
-  // the MatMulNT row-dot kernel, grad_b = Aᵀ·g via the MatMulTN fused
-  // accumulation kernel.
+  // MatMulNT's row kernel (simd::RowDots, one call per output row),
+  // grad_b = Aᵀ·g via the MatMulTN fused accumulation kernel.
   ThreadPool::Global().SetNumThreads(1);
   const int64_t n = state.range(0);
   ScopedBackend backend(state.range(1) != 0);
@@ -128,11 +128,7 @@ void BM_SimdMatMulBackward(benchmark::State& state) {
   std::vector<double> grad_b(static_cast<size_t>(n * n));
   for (auto _ : state) {
     for (int64_t i = 0; i < n; ++i) {
-      const double* grow = g.data() + i * n;
-      double* orow = grad_a.data() + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        orow[j] = simd::Dot(grow, b.data() + j * n, n);
-      }
+      simd::RowDots(g.data() + i * n, b.data(), n, n, grad_a.data() + i * n);
     }
     std::fill(grad_b.begin(), grad_b.end(), 0.0);
     TiledAccumulate(a.data(), g.data(), grad_b.data(), n, n, n,

@@ -56,11 +56,10 @@ PdsSurrogate::PdsSurrogate(const Dataset& world,
     src.reserve(src.size() + 2 * candidate_upper);
     social_.num_base_edges = static_cast<int64_t>(dst.size());
     social_.num_nodes = num_users_;
-    social_.player_gather.resize(static_cast<size_t>(players));
     for (int64_t p = 0; p < players; ++p) {
       const auto& actions = capacities_[static_cast<size_t>(p)]->actions();
-      social_.player_gather[static_cast<size_t>(p)].reserve(
-          2 * actions.size());
+      std::vector<int64_t> gather;
+      gather.reserve(2 * actions.size());
       for (size_t k = 0; k < actions.size(); ++k) {
         if (actions[k].type != ActionType::kSocialEdge) continue;
         MSOPDS_CHECK_LT(actions[k].a, num_users_);
@@ -70,11 +69,10 @@ PdsSurrogate::PdsSurrogate(const Dataset& world,
         src.push_back(actions[k].b);
         dst.push_back(actions[k].b);
         src.push_back(actions[k].a);
-        social_.player_gather[static_cast<size_t>(p)].push_back(
-            static_cast<int64_t>(k));
-        social_.player_gather[static_cast<size_t>(p)].push_back(
-            static_cast<int64_t>(k));
+        gather.push_back(static_cast<int64_t>(k));
+        gather.push_back(static_cast<int64_t>(k));
       }
+      social_.player_gather.push_back(MakeIndex(std::move(gather)));
     }
     std::vector<int64_t> degree(static_cast<size_t>(num_users_), 0);
     for (int64_t d : dst) ++degree[static_cast<size_t>(d)];
@@ -95,11 +93,10 @@ PdsSurrogate::PdsSurrogate(const Dataset& world,
     src.reserve(src.size() + 2 * candidate_upper);
     item_.num_base_edges = static_cast<int64_t>(dst.size());
     item_.num_nodes = num_items_;
-    item_.player_gather.resize(static_cast<size_t>(players));
     for (int64_t p = 0; p < players; ++p) {
       const auto& actions = capacities_[static_cast<size_t>(p)]->actions();
-      item_.player_gather[static_cast<size_t>(p)].reserve(
-          2 * actions.size());
+      std::vector<int64_t> gather;
+      gather.reserve(2 * actions.size());
       for (size_t k = 0; k < actions.size(); ++k) {
         if (actions[k].type != ActionType::kItemEdge) continue;
         MSOPDS_CHECK_LT(actions[k].a, num_items_);
@@ -108,11 +105,10 @@ PdsSurrogate::PdsSurrogate(const Dataset& world,
         src.push_back(actions[k].b);
         dst.push_back(actions[k].b);
         src.push_back(actions[k].a);
-        item_.player_gather[static_cast<size_t>(p)].push_back(
-            static_cast<int64_t>(k));
-        item_.player_gather[static_cast<size_t>(p)].push_back(
-            static_cast<int64_t>(k));
+        gather.push_back(static_cast<int64_t>(k));
+        gather.push_back(static_cast<int64_t>(k));
       }
+      item_.player_gather.push_back(MakeIndex(std::move(gather)));
     }
     std::vector<int64_t> degree(static_cast<size_t>(num_items_), 0);
     for (int64_t d : dst) ++degree[static_cast<size_t>(d)];
@@ -146,13 +142,13 @@ PdsSurrogate::PdsSurrogate(const Dataset& world,
   poison_targets_.resize(static_cast<size_t>(players));
   poison_gather_.resize(static_cast<size_t>(players));
   for (int64_t p = 0; p < players; ++p) {
-    std::vector<int64_t> users, items;
+    std::vector<int64_t> users, items, gather;
     std::vector<double> targets;
     const auto& actions = capacities_[static_cast<size_t>(p)]->actions();
     users.reserve(actions.size());
     items.reserve(actions.size());
     targets.reserve(actions.size());
-    poison_gather_[static_cast<size_t>(p)].reserve(actions.size());
+    gather.reserve(actions.size());
     for (size_t k = 0; k < actions.size(); ++k) {
       if (actions[k].type != ActionType::kRating) continue;
       MSOPDS_CHECK_LT(actions[k].a, num_users_);
@@ -160,13 +156,13 @@ PdsSurrogate::PdsSurrogate(const Dataset& world,
       users.push_back(actions[k].a);
       items.push_back(actions[k].b);
       targets.push_back(actions[k].rating);
-      poison_gather_[static_cast<size_t>(p)].push_back(
-          static_cast<int64_t>(k));
+      gather.push_back(static_cast<int64_t>(k));
     }
     poison_users_[static_cast<size_t>(p)] = MakeIndex(std::move(users));
     poison_items_[static_cast<size_t>(p)] = MakeIndex(std::move(items));
     poison_targets_[static_cast<size_t>(p)] =
         Tensor::FromVector(std::move(targets));
+    poison_gather_[static_cast<size_t>(p)] = MakeIndex(std::move(gather));
   }
 
   // --- Fixed theta_0: embeddings then per-layer projections. ---
@@ -190,9 +186,9 @@ Variable PdsSurrogate::EdgeWeights(const GraphBundle& bundle,
   MSOPDS_CHECK_EQ(static_cast<int64_t>(xhats.size()), num_players());
   Variable weights = Constant(Tensor::Ones({bundle.num_base_edges}));
   for (size_t p = 0; p < xhats.size(); ++p) {
-    const std::vector<int64_t>& gather = bundle.player_gather[p];
-    if (gather.empty()) continue;
-    weights = Concat1(weights, Gather1(xhats[p], MakeIndex(gather)));
+    const IndexVec& gather = bundle.player_gather[p];
+    if (gather->empty()) continue;
+    weights = Concat1(weights, Gather1(xhats[p], gather));
   }
   return Mul(weights, Constant(bundle.coefficients.Clone()));
 }
@@ -240,14 +236,14 @@ Variable PdsSurrogate::TrainLoss(const std::vector<Variable>& theta,
   const double scale =
       1.0 / static_cast<double>(std::max<int64_t>(1, base_targets_.size()));
   for (size_t p = 0; p < xhats.size(); ++p) {
-    if (poison_gather_[p].empty()) continue;
+    if (poison_gather_[p]->empty()) continue;
     Variable preds =
         AddScalar(PairDot(GatherRows(outcome.user_final, poison_users_[p]),
                           GatherRows(outcome.item_final, poison_items_[p])),
                   config_.prediction_offset);
     Variable squared =
         Square(Sub(preds, Constant(poison_targets_[p].Clone())));
-    Variable gathered = Gather1(xhats[p], MakeIndex(poison_gather_[p]));
+    Variable gathered = Gather1(xhats[p], poison_gather_[p]);
     loss = Add(loss, ScalarMul(Sum(Mul(gathered, squared)), scale));
   }
 

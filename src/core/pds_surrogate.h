@@ -77,7 +77,7 @@ class PdsSurrogate {
     IndexVec src;
     /// Per-player gather indices into the importance vector for the
     /// candidate-edge tail of (dst, src); base edges come first.
-    std::vector<std::vector<int64_t>> player_gather;
+    std::vector<IndexVec> player_gather;
     /// Constant per-edge 1/deg(dst) normalization (full poisoned graph).
     Tensor coefficients;
     int64_t num_base_edges = 0;
@@ -117,7 +117,7 @@ class PdsSurrogate {
   std::vector<IndexVec> poison_users_;
   std::vector<IndexVec> poison_items_;
   std::vector<Tensor> poison_targets_;
-  std::vector<std::vector<int64_t>> poison_gather_;
+  std::vector<IndexVec> poison_gather_;
 
   // Fixed parameter initialization (theta_0).
   std::vector<Tensor> theta_init_;

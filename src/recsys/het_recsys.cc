@@ -41,7 +41,7 @@ HetRecSys::HetRecSys(const Dataset& dataset, const HetRecSysConfig& config,
 
 Variable HetRecSys::Aggregate(const Variable& features, const IndexVec& dst,
                               const IndexVec& src, int64_t num_nodes) const {
-  const int64_t num_edges = static_cast<int64_t>(dst->size());
+  const int64_t num_edges = dst->size();
   if (num_edges == 0) {
     return Constant(
         Tensor::Zeros({num_nodes, features.value().dim(1)}));
@@ -57,12 +57,11 @@ Variable HetRecSys::Aggregate(const Variable& features, const IndexVec& dst,
     // Degree-normalized mean.
     std::vector<int64_t> degree(static_cast<size_t>(num_nodes), 0);
     for (int64_t e = 0; e < num_edges; ++e)
-      ++degree[static_cast<size_t>((*dst)[static_cast<size_t>(e)])];
+      ++degree[static_cast<size_t>((*dst)[e])];
     Tensor w({num_edges});
     for (int64_t e = 0; e < num_edges; ++e) {
-      w.at(e) = 1.0 / static_cast<double>(
-                          degree[static_cast<size_t>(
-                              (*dst)[static_cast<size_t>(e)])]);
+      w.at(e) =
+          1.0 / static_cast<double>(degree[static_cast<size_t>((*dst)[e])]);
     }
     weights = Constant(std::move(w));
   }

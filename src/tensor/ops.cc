@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -67,45 +68,6 @@ Tensor SpanKernel(const Tensor& input, Fn&& fn) {
                    fn(pa + begin, po + begin, end - begin);
                  });
   return out;
-}
-
-// Typed view of an IndexVec: hoists the per-element size_t casts out of
-// the sparse kernels' inner loops; Debug-checked like TensorSpan.
-class IndexView {
- public:
-  explicit IndexView(const IndexVec& idx)
-      : data_(idx->data()), size_(static_cast<int64_t>(idx->size())) {}
-
-  int64_t operator[](int64_t i) const {
-    MSOPDS_DCHECK_GE(i, 0);
-    MSOPDS_DCHECK_LT(i, size_);
-    return data_[i];
-  }
-
-  int64_t size() const { return size_; }
-
- private:
-  const int64_t* data_;
-  int64_t size_;
-};
-
-// Destination-bucketed scatter plan: edge k goes to bucket dst[k]/grain.
-// Bucket order preserves edge order, so each destination row accumulates
-// its contributions in exactly the serial edge order, and buckets own
-// disjoint row ranges — no atomics. Destinations are bounds-checked here
-// in edge order, matching the serial loop's abort point.
-std::vector<std::vector<int64_t>> BucketByDestination(const IndexView& dst,
-                                                      int64_t num_rows,
-                                                      int64_t grain) {
-  std::vector<std::vector<int64_t>> buckets(
-      static_cast<size_t>(NumChunks(num_rows, grain)));
-  for (int64_t k = 0; k < dst.size(); ++k) {
-    const int64_t r = dst[k];
-    MSOPDS_CHECK_GE(r, 0);
-    MSOPDS_CHECK_LT(r, num_rows);
-    buckets[static_cast<size_t>(r / grain)].push_back(k);
-  }
-  return buckets;
 }
 
 // Creates a recorded op node. `backward` may be empty when no input
@@ -217,10 +179,6 @@ Tensor EvalBinary(BinaryKind kind, const Tensor& a, const Tensor& b) {
 }
 
 }  // namespace
-
-IndexVec MakeIndex(std::vector<int64_t> indices) {
-  return std::make_shared<const std::vector<int64_t>>(std::move(indices));
-}
 
 Variable Add(const Variable& a, const Variable& b) {
   return MakeOp("Add", EvalBinary(BinaryKind::kAdd, a.value(), b.value()),
@@ -466,17 +424,14 @@ Variable MatMulNT(const Variable& a, const Variable& b) {
   const double* pb = tb.data();
   double* po = out.data();
   // A·Bᵀ with B in its original row-major layout: out[i][j] is the dot of
-  // two contiguous rows. The reduction uses simd::Dot's fixed 4-lane
-  // order (deterministic; ULP-different from a serial sum, see §14).
-  // Output rows are chunk-disjoint as in MatMul.
+  // two contiguous rows. simd::RowDots computes a whole output row, each
+  // element on simd::Dot's fixed 4-lane order (deterministic;
+  // ULP-different from a serial sum, see §14). Output rows are
+  // chunk-disjoint as in MatMul.
   ThreadPool::Global().ParallelFor(
       n, RowGrain(m), [&](int64_t row_begin, int64_t row_end, int64_t) {
         for (int64_t i = row_begin; i < row_end; ++i) {
-          const double* arow = pa + i * k;
-          double* orow = po + i * m;
-          for (int64_t j = 0; j < m; ++j) {
-            orow[j] = simd::Dot(arow, pb + j * k, k);
-          }
+          simd::RowDots(pa + i * k, pb, k, m, po + i * m);
         }
       });
   return MakeOp("MatMulNT", std::move(out), {a, b},
@@ -783,7 +738,7 @@ Variable GatherRows(const Variable& x, const IndexVec& idx) {
   const Tensor& t = x.value();
   MSOPDS_CHECK_EQ(t.rank(), 2);
   const int64_t n = t.dim(0), d = t.dim(1);
-  const IndexView rows(idx);
+  const Index& rows = *idx;
   const int64_t k = rows.size();
   // Validate in index order (serial abort point), then copy in parallel.
   for (int64_t i = 0; i < k; ++i) {
@@ -811,20 +766,20 @@ Variable GatherRows(const Variable& x, const IndexVec& idx) {
 Variable ScatterAddRows(const Variable& g, const IndexVec& idx, int64_t rows) {
   const Tensor& t = g.value();
   MSOPDS_CHECK_EQ(t.rank(), 2);
-  MSOPDS_CHECK_EQ(t.dim(0), static_cast<int64_t>(idx->size()));
+  MSOPDS_CHECK_EQ(t.dim(0), idx->size());
   const int64_t d = t.dim(1);
-  const IndexView dst(idx);
+  const Index& dst = *idx;
   Tensor out({rows, d});
   const double* pt = t.data();
   double* po = out.data();
-  // Destination-bucketed scatter: each chunk owns a disjoint row range
-  // and applies its bucket's updates in edge order, so no atomics and
-  // per-row accumulation order equals the serial loop's.
+  // Destination-planned scatter: each chunk owns a disjoint row range
+  // and applies its entries in index order, so no atomics and per-row
+  // accumulation order equals the serial loop's.
   const int64_t grain = RowGrain(d);
-  const auto buckets = BucketByDestination(dst, rows, grain);
+  const ScatterPlan& plan = dst.Plan(rows, grain);
   ThreadPool::Global().ParallelFor(
       rows, grain, [&](int64_t, int64_t, int64_t chunk) {
-        for (const int64_t i : buckets[static_cast<size_t>(chunk)]) {
+        for (const int64_t i : plan.Chunk(chunk)) {
           simd::AddInPlace(po + dst[i] * d, pt + i * d, d);
         }
       });
@@ -839,7 +794,7 @@ Variable Gather1(const Variable& x, const IndexVec& idx) {
   const Tensor& t = x.value();
   MSOPDS_CHECK_EQ(t.rank(), 1);
   const int64_t n = t.dim(0);
-  const IndexView src(idx);
+  const Index& src = *idx;
   const int64_t k = src.size();
   for (int64_t i = 0; i < k; ++i) {
     MSOPDS_CHECK_GE(src[i], 0);
@@ -861,16 +816,16 @@ Variable Gather1(const Variable& x, const IndexVec& idx) {
 Variable ScatterAdd1(const Variable& g, const IndexVec& idx, int64_t size) {
   const Tensor& t = g.value();
   MSOPDS_CHECK_EQ(t.rank(), 1);
-  MSOPDS_CHECK_EQ(t.dim(0), static_cast<int64_t>(idx->size()));
-  const IndexView dst(idx);
+  MSOPDS_CHECK_EQ(t.dim(0), idx->size());
+  const Index& dst = *idx;
   Tensor out({size});
   const ConstTensorSpan pt = t.span();
   const TensorSpan po = out.mutable_span();
   const int64_t grain = kElementGrain;
-  const auto buckets = BucketByDestination(dst, size, grain);
+  const ScatterPlan& plan = dst.Plan(size, grain);
   ThreadPool::Global().ParallelFor(
       size, grain, [&](int64_t, int64_t, int64_t chunk) {
-        for (const int64_t i : buckets[static_cast<size_t>(chunk)]) {
+        for (const int64_t i : plan.Chunk(chunk)) {
           po[dst[i]] += pt[i];
         }
       });
@@ -888,11 +843,11 @@ Variable SpMM(const IndexVec& dst, const IndexVec& src, const Variable& w,
   MSOPDS_CHECK_EQ(tw.rank(), 1);
   MSOPDS_CHECK_EQ(tx.rank(), 2);
   const int64_t e = tw.dim(0);
-  MSOPDS_CHECK_EQ(e, static_cast<int64_t>(dst->size()));
-  MSOPDS_CHECK_EQ(e, static_cast<int64_t>(src->size()));
+  MSOPDS_CHECK_EQ(e, dst->size());
+  MSOPDS_CHECK_EQ(e, src->size());
   const int64_t num_src = tx.dim(0), d = tx.dim(1);
-  const IndexView dsti(dst);
-  const IndexView srci(src);
+  const Index& dsti = *dst;
+  const Index& srci = *src;
   for (int64_t k = 0; k < e; ++k) {
     MSOPDS_CHECK_GE(srci[k], 0);
     MSOPDS_CHECK_LT(srci[k], num_src);
@@ -901,7 +856,7 @@ Variable SpMM(const IndexVec& dst, const IndexVec& src, const Variable& w,
   const double* pw = tw.data();
   const double* px = tx.data();
   double* po = out.data();
-  // Row-partitioned destination-bucketed scatter (see ScatterAddRows):
+  // Row-partitioned destination-planned scatter (see ScatterAddRows):
   // each chunk of destination rows applies its edges in edge order.
   // Runs of consecutive edges into the same destination row fuse four
   // at a time through simd::Axpy4 — same association as sequential
@@ -909,10 +864,10 @@ Variable SpMM(const IndexVec& dst, const IndexVec& src, const Variable& w,
   // once per four edges. Typical edge lists arrive grouped by
   // destination, so runs are long.
   const int64_t grain = RowGrain(d);
-  const auto buckets = BucketByDestination(dsti, num_dst, grain);
+  const ScatterPlan& plan = dsti.Plan(num_dst, grain);
   ThreadPool::Global().ParallelFor(
       num_dst, grain, [&](int64_t, int64_t, int64_t chunk) {
-        const auto& bucket = buckets[static_cast<size_t>(chunk)];
+        const std::span<const int64_t> bucket = plan.Chunk(chunk);
         const size_t bn = bucket.size();
         size_t t = 0;
         while (t < bn) {
@@ -956,10 +911,10 @@ Variable EdgeDot(const Variable& a, const Variable& b, const IndexVec& ai,
   MSOPDS_CHECK_EQ(tb.rank(), 2);
   MSOPDS_CHECK_EQ(ta.dim(1), tb.dim(1));
   MSOPDS_CHECK_EQ(ai->size(), bi->size());
-  const int64_t e = static_cast<int64_t>(ai->size());
+  const int64_t e = ai->size();
   const int64_t na = ta.dim(0), nb = tb.dim(0), d = ta.dim(1);
-  const IndexView aii(ai);
-  const IndexView bii(bi);
+  const Index& aii = *ai;
+  const Index& bii = *bi;
   for (int64_t k = 0; k < e; ++k) {
     MSOPDS_CHECK_GE(aii[k], 0);
     MSOPDS_CHECK_LT(aii[k], na);
@@ -1014,19 +969,19 @@ Variable SegmentSoftmax(const Variable& scores, const IndexVec& seg,
   const Tensor& t = scores.value();
   MSOPDS_CHECK_EQ(t.rank(), 1);
   const int64_t e = t.dim(0);
-  MSOPDS_CHECK_EQ(e, static_cast<int64_t>(seg->size()));
-  const IndexView segi(seg);
+  MSOPDS_CHECK_EQ(e, seg->size());
+  const Index& segi = *seg;
   const ConstTensorSpan pt = t.span();
   // Per-segment max as a constant shift for numerical stability.
   // Segment-partitioned like the scatter kernels: each chunk of segments
-  // folds its bucketed edges. max is exact, so any order would do, but
-  // the bucketing keeps the structure uniform with SpMM/ScatterAdd.
+  // folds its planned edges. max is exact, so any order would do; the
+  // plan is the one the ScatterAdd1 below reads.
   std::vector<double> seg_max(static_cast<size_t>(num_segments), -1e300);
   const int64_t grain = kElementGrain;
-  const auto buckets = BucketByDestination(segi, num_segments, grain);
+  const ScatterPlan& plan = segi.Plan(num_segments, grain);
   ThreadPool::Global().ParallelFor(
       num_segments, grain, [&](int64_t, int64_t, int64_t chunk) {
-        for (const int64_t k : buckets[static_cast<size_t>(chunk)]) {
+        for (const int64_t k : plan.Chunk(chunk)) {
           double& best = seg_max[static_cast<size_t>(segi[k])];
           best = std::max(best, pt[k]);
         }
@@ -1796,8 +1751,8 @@ std::vector<OpSpec> BuildOpRegistry() {
          return Concat1Plan(in[0][0], in[1][0]);
        },
        {{{5000}, {4000}}, {9000}});
-  // Destination-bucketed scatters: a chunk owns a disjoint slice of
-  // destination rows/elements and applies its bucket's edges in edge
+  // Destination-planned scatters: a chunk owns a disjoint slice of
+  // destination rows/elements and applies its planned edges in edge
   // order, so the full owned range is the (conservative) write range.
   plan("ScatterAddRows", scatter_rows, {{{64, 8}}, {9000, 8}});
   plan("SpMM", scatter_rows, {{{12}, {64, 8}}, {9000, 8}});

@@ -1,19 +1,12 @@
 #ifndef MSOPDS_TENSOR_OPS_H_
 #define MSOPDS_TENSOR_OPS_H_
 
-#include <memory>
 #include <vector>
 
+#include "tensor/index.h"
 #include "tensor/variable.h"
 
 namespace msopds {
-
-/// Shared immutable index vector used by gather/scatter/sparse ops so that
-/// backward closures can reference indices without copying them.
-using IndexVec = std::shared_ptr<const std::vector<int64_t>>;
-
-/// Wraps indices into an IndexVec.
-IndexVec MakeIndex(std::vector<int64_t> indices);
 
 // ---------------------------------------------------------------------------
 // Elementwise arithmetic. Operands must have the same shape, or one operand

@@ -19,12 +19,14 @@
 //    contracted either). These primitives are therefore *bit-exact* across
 //    backends and across the MSOPDS_SIMD switch.
 //
-//  * Reductions (Dot/Sum/MaxAbs) use a fixed 4-lane accumulation order:
-//    lane j accumulates elements j, j+4, j+8, ... (the tail of n mod 4
-//    elements lands in lanes 0..r-1), and the four lane partials are folded
-//    as (l0 + l1) + (l2 + l3). The scalar fallback implements the *same*
-//    4-lane schedule with four named accumulators, so reductions are also
-//    bit-exact across backends — but they differ (by normal ULP-level
+//  * Reductions (Dot/RowDots/Sum/MaxAbs) use a fixed 4-lane accumulation
+//    order: lane j accumulates elements j, j+4, j+8, ... (the tail of n
+//    mod 4 elements lands in lanes 0..r-1), and the four lane partials are
+//    folded as (l0 + l1) + (l2 + l3). The scalar fallback implements the
+//    *same* 4-lane schedule with four named accumulators, so reductions are
+//    also bit-exact across backends for every non-NaN result (which NaN an
+//    add of two NaNs returns follows the compiler's operand order, not the
+//    source; DESIGN.md §14) — but they differ (by normal ULP-level
 //    reassociation) from a naive left-to-right sum. Callers that used to
 //    reduce left-to-right get deterministically different low bits the day
 //    they switch to these primitives; DESIGN.md §14 records which results
@@ -37,8 +39,8 @@
 //   - runtime: __builtin_cpu_supports("avx2") gates the x86 path, so a
 //     binary built on an AVX2 machine still runs (scalar) on older CPUs;
 //   - env override: MSOPDS_SIMD=0 in the environment forces the scalar
-//     fallback at startup even in a vector-enabled build — this is how the
-//     parity tests A/B the two paths inside one binary.
+//     fallback at startup even in a vector-enabled build (1 keeps the
+//     probe; any other value warns and keeps it, util/env.h).
 //
 // Vector functions carry per-function target attributes instead of a
 // global -mavx2 so enabling SIMD cannot change code generation (and hence
@@ -49,9 +51,11 @@
 // backends by construction (the AVX2 path widens int8 pairs to int16 and
 // uses the madd lane pipeline; NEON uses the widening-multiply path).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
+
+#include "util/env.h"
 
 #if !defined(MSOPDS_SIMD_DISABLED) && defined(__GNUC__) && \
     (defined(__x86_64__) || defined(_M_X64))
@@ -74,10 +78,14 @@ enum class Backend {
 
 namespace internal {
 
-inline Backend ProbeBackend() {
-  if (const char* env = std::getenv("MSOPDS_SIMD")) {
-    if (env[0] == '0' && env[1] == '\0') return Backend::kScalar;
-  }
+// Out of line and cold: it runs once per process, but each dispatch
+// wrapper's first-use path would otherwise inline it into every hot loop
+// that calls a primitive per row. Inlined, its EnvSwitch call changed
+// register allocation in top-K scoring's per-item loop: TopKForUsers on
+// the serve-topk shape ran 10-15% slower (one thread, 4-core x86 VM,
+// gcc 12.2).
+__attribute__((noinline, cold)) inline Backend ProbeBackend() {
+  if (!EnvSwitch("MSOPDS_SIMD", true)) return Backend::kScalar;
 #if defined(MSOPDS_SIMD_X86)
   if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
   return Backend::kScalar;
@@ -167,6 +175,11 @@ MSOPDS_SCALAR_NOVEC inline double Dot(const double* a, const double* b, int64_t 
   if (i + 1 < n) l1 += a[i + 1] * b[i + 1];
   if (i + 2 < n) l2 += a[i + 2] * b[i + 2];
   return (l0 + l1) + (l2 + l3);
+}
+
+MSOPDS_SCALAR_NOVEC inline void RowDots(const double* a, const double* b,
+                                        int64_t k, int64_t m, double* out) {
+  for (int64_t j = 0; j < m; ++j) out[j] = Dot(a, b + j * k, k);
 }
 
 MSOPDS_SCALAR_NOVEC inline double Sum(const double* a, int64_t n) {
@@ -266,6 +279,12 @@ MSOPDS_SCALAR_NOVEC inline int32_t DotI8(const int8_t* a, const int8_t* b,
 
 // ---------------------------------------------------------------------------
 // AVX2 backend (x86-64). Per-function target attributes; never fmadd.
+//
+// The scalar tails after a vector loop count the remaining elements down
+// (`for (r = n - i; r > 0; --r, ++i)`) in both vector backends. Given a
+// compile-time n, GCC derives a trip count near 2^61 for the plain
+// `for (; i < n; ++i)` tail and warns (-Waggressive-loop-optimizations);
+// the counted form does the same operations in the same order.
 // ---------------------------------------------------------------------------
 
 #if defined(MSOPDS_SIMD_X86)
@@ -287,6 +306,48 @@ __attribute__((target("avx2"))) inline double Dot(const double* a,
   if (i + 1 < n) lanes[1] += a[i + 1] * b[i + 1];
   if (i + 2 < n) lanes[2] += a[i + 2] * b[i + 2];
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+}
+
+// Four outputs per pass when k % 4 == 0: one load of a feeds four
+// accumulators, each on Dot's lane schedule. The fold writes Dot's
+// (l0 + l1) + (l2 + l3) out for all four at once: unpacklo/unpackhi put
+// lanes 0|2 and 1|3 of two accumulators side by side, one add gives both
+// accumulators' l0 + l1 and l2 + l3, and a cross-lane add joins the
+// halves (not hadd, which states no operand order). Other k, and the
+// last m % 4 outputs, take one Dot each.
+__attribute__((target("avx2"))) inline void RowDots(const double* a,
+                                                    const double* b,
+                                                    int64_t k, int64_t m,
+                                                    double* out) {
+  int64_t j = 0;
+  if (k % 4 == 0) {
+    for (; j + 4 <= m; j += 4) {
+      const double* b0 = b + j * k;
+      const double* b1 = b0 + k;
+      const double* b2 = b1 + k;
+      const double* b3 = b2 + k;
+      __m256d acc0 = _mm256_setzero_pd();
+      __m256d acc1 = _mm256_setzero_pd();
+      __m256d acc2 = _mm256_setzero_pd();
+      __m256d acc3 = _mm256_setzero_pd();
+      for (int64_t i = 0; i < k; i += 4) {
+        const __m256d va = _mm256_loadu_pd(a + i);
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_loadu_pd(b0 + i)));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(va, _mm256_loadu_pd(b1 + i)));
+        acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(va, _mm256_loadu_pd(b2 + i)));
+        acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(va, _mm256_loadu_pd(b3 + i)));
+      }
+      // {l0+l1 of acc0, l0+l1 of acc1, l2+l3 of acc0, l2+l3 of acc1}.
+      const __m256d s01 = _mm256_add_pd(_mm256_unpacklo_pd(acc0, acc1),
+                                        _mm256_unpackhi_pd(acc0, acc1));
+      const __m256d s23 = _mm256_add_pd(_mm256_unpacklo_pd(acc2, acc3),
+                                        _mm256_unpackhi_pd(acc2, acc3));
+      _mm256_storeu_pd(out + j,
+                       _mm256_add_pd(_mm256_permute2f128_pd(s01, s23, 0x20),
+                                     _mm256_permute2f128_pd(s01, s23, 0x31)));
+    }
+  }
+  for (int64_t r = m - j; r > 0; --r, ++j) out[j] = Dot(a, b + j * k, k);
 }
 
 __attribute__((target("avx2"))) inline double Sum(const double* a, int64_t n) {
@@ -329,7 +390,7 @@ __attribute__((target("avx2"))) inline void Axpy(double alpha, const double* x,
     const __m256d vx = _mm256_loadu_pd(x + i);
     _mm256_storeu_pd(y + i, _mm256_add_pd(vy, _mm256_mul_pd(va, vx)));
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) y[i] += alpha * x[i];
 }
 
 __attribute__((target("avx2"))) inline void Axpy4(
@@ -348,7 +409,7 @@ __attribute__((target("avx2"))) inline void Axpy4(
     vy = _mm256_add_pd(vy, _mm256_mul_pd(va3, _mm256_loadu_pd(x3 + i)));
     _mm256_storeu_pd(y + i, vy);
   }
-  for (; i < n; ++i) {
+  for (int64_t r = n - i; r > 0; --r, ++i) {
     y[i] = (((y[i] + alpha4[0] * x0[i]) + alpha4[1] * x1[i]) +
             alpha4[2] * x2[i]) +
            alpha4[3] * x3[i];
@@ -363,7 +424,7 @@ __attribute__((target("avx2"))) inline void AddInPlace(double* y,
     _mm256_storeu_pd(
         y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
   }
-  for (; i < n; ++i) y[i] += x[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) y[i] += x[i];
 }
 
 __attribute__((target("avx2"))) inline void Add(const double* a,
@@ -375,7 +436,7 @@ __attribute__((target("avx2"))) inline void Add(const double* a,
         out + i,
         _mm256_add_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] + b[i];
 }
 
 __attribute__((target("avx2"))) inline void Sub(const double* a,
@@ -387,7 +448,7 @@ __attribute__((target("avx2"))) inline void Sub(const double* a,
         out + i,
         _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] - b[i];
 }
 
 __attribute__((target("avx2"))) inline void Mul(const double* a,
@@ -399,7 +460,7 @@ __attribute__((target("avx2"))) inline void Mul(const double* a,
         out + i,
         _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] * b[i];
 }
 
 __attribute__((target("avx2"))) inline void Div(const double* a,
@@ -411,7 +472,7 @@ __attribute__((target("avx2"))) inline void Div(const double* a,
         out + i,
         _mm256_div_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] / b[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] / b[i];
 }
 
 __attribute__((target("avx2"))) inline void Scale(const double* a, double alpha,
@@ -421,7 +482,7 @@ __attribute__((target("avx2"))) inline void Scale(const double* a, double alpha,
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(a + i), va));
   }
-  for (; i < n; ++i) out[i] = a[i] * alpha;
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] * alpha;
 }
 
 __attribute__((target("avx2"))) inline void Offset(const double* a,
@@ -432,7 +493,7 @@ __attribute__((target("avx2"))) inline void Offset(const double* a,
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(a + i), va));
   }
-  for (; i < n; ++i) out[i] = a[i] + alpha;
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] + alpha;
 }
 
 __attribute__((target("avx2"))) inline void Neg(const double* a, double* out,
@@ -442,7 +503,7 @@ __attribute__((target("avx2"))) inline void Neg(const double* a, double* out,
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_pd(out + i, _mm256_xor_pd(_mm256_loadu_pd(a + i), sign));
   }
-  for (; i < n; ++i) out[i] = -a[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = -a[i];
 }
 
 __attribute__((target("avx2"))) inline void Sqrt(const double* a, double* out,
@@ -451,7 +512,7 @@ __attribute__((target("avx2"))) inline void Sqrt(const double* a, double* out,
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_pd(out + i, _mm256_sqrt_pd(_mm256_loadu_pd(a + i)));
   }
-  for (; i < n; ++i) out[i] = std::sqrt(a[i]);
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = std::sqrt(a[i]);
 }
 
 // int8 dot via the 16-wide madd lane pipeline: widen each int8 half-load
@@ -478,7 +539,7 @@ __attribute__((target("avx2"))) inline int32_t DotI8(const int8_t* a,
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
   int32_t sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
                 ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  for (; i < n; ++i) {
+  for (int64_t r = n - i; r > 0; --r, ++i) {
     sum += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
   }
   return sum;
@@ -512,6 +573,11 @@ inline double Dot(const double* a, const double* b, int64_t n) {
   if (i + 1 < n) lanes[1] += a[i + 1] * b[i + 1];
   if (i + 2 < n) lanes[2] += a[i + 2] * b[i + 2];
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+}
+
+inline void RowDots(const double* a, const double* b, int64_t k, int64_t m,
+                    double* out) {
+  for (int64_t j = 0; j < m; ++j) out[j] = Dot(a, b + j * k, k);
 }
 
 inline double Sum(const double* a, int64_t n) {
@@ -554,7 +620,7 @@ inline void Axpy(double alpha, const double* x, double* y, int64_t n) {
     vst1q_f64(y + i,
               vaddq_f64(vld1q_f64(y + i), vmulq_f64(va, vld1q_f64(x + i))));
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) y[i] += alpha * x[i];
 }
 
 inline void Axpy4(const double* alpha4, const double* x0, const double* x1,
@@ -572,7 +638,7 @@ inline void Axpy4(const double* alpha4, const double* x0, const double* x1,
     vy = vaddq_f64(vy, vmulq_f64(va3, vld1q_f64(x3 + i)));
     vst1q_f64(y + i, vy);
   }
-  for (; i < n; ++i) {
+  for (int64_t r = n - i; r > 0; --r, ++i) {
     y[i] = (((y[i] + alpha4[0] * x0[i]) + alpha4[1] * x1[i]) +
             alpha4[2] * x2[i]) +
            alpha4[3] * x3[i];
@@ -584,7 +650,7 @@ inline void AddInPlace(double* y, const double* x, int64_t n) {
   for (; i + 2 <= n; i += 2) {
     vst1q_f64(y + i, vaddq_f64(vld1q_f64(y + i), vld1q_f64(x + i)));
   }
-  for (; i < n; ++i) y[i] += x[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) y[i] += x[i];
 }
 
 inline void Add(const double* a, const double* b, double* out, int64_t n) {
@@ -592,7 +658,7 @@ inline void Add(const double* a, const double* b, double* out, int64_t n) {
   for (; i + 2 <= n; i += 2) {
     vst1q_f64(out + i, vaddq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] + b[i];
 }
 
 inline void Sub(const double* a, const double* b, double* out, int64_t n) {
@@ -600,7 +666,7 @@ inline void Sub(const double* a, const double* b, double* out, int64_t n) {
   for (; i + 2 <= n; i += 2) {
     vst1q_f64(out + i, vsubq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] - b[i];
 }
 
 inline void Mul(const double* a, const double* b, double* out, int64_t n) {
@@ -608,7 +674,7 @@ inline void Mul(const double* a, const double* b, double* out, int64_t n) {
   for (; i + 2 <= n; i += 2) {
     vst1q_f64(out + i, vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] * b[i];
 }
 
 inline void Div(const double* a, const double* b, double* out, int64_t n) {
@@ -616,7 +682,7 @@ inline void Div(const double* a, const double* b, double* out, int64_t n) {
   for (; i + 2 <= n; i += 2) {
     vst1q_f64(out + i, vdivq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] / b[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] / b[i];
 }
 
 inline void Scale(const double* a, double alpha, double* out, int64_t n) {
@@ -625,7 +691,7 @@ inline void Scale(const double* a, double alpha, double* out, int64_t n) {
   for (; i + 2 <= n; i += 2) {
     vst1q_f64(out + i, vmulq_f64(vld1q_f64(a + i), va));
   }
-  for (; i < n; ++i) out[i] = a[i] * alpha;
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] * alpha;
 }
 
 inline void Offset(const double* a, double alpha, double* out, int64_t n) {
@@ -634,7 +700,7 @@ inline void Offset(const double* a, double alpha, double* out, int64_t n) {
   for (; i + 2 <= n; i += 2) {
     vst1q_f64(out + i, vaddq_f64(vld1q_f64(a + i), va));
   }
-  for (; i < n; ++i) out[i] = a[i] + alpha;
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = a[i] + alpha;
 }
 
 inline void Neg(const double* a, double* out, int64_t n) {
@@ -642,7 +708,7 @@ inline void Neg(const double* a, double* out, int64_t n) {
   for (; i + 2 <= n; i += 2) {
     vst1q_f64(out + i, vnegq_f64(vld1q_f64(a + i)));
   }
-  for (; i < n; ++i) out[i] = -a[i];
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = -a[i];
 }
 
 inline void Sqrt(const double* a, double* out, int64_t n) {
@@ -650,7 +716,7 @@ inline void Sqrt(const double* a, double* out, int64_t n) {
   for (; i + 2 <= n; i += 2) {
     vst1q_f64(out + i, vsqrtq_f64(vld1q_f64(a + i)));
   }
-  for (; i < n; ++i) out[i] = std::sqrt(a[i]);
+  for (int64_t r = n - i; r > 0; --r, ++i) out[i] = std::sqrt(a[i]);
 }
 
 // int8 dot via the widening-multiply path (baseline AArch64; vdotq
@@ -668,7 +734,7 @@ inline int32_t DotI8(const int8_t* a, const int8_t* b, int64_t n) {
     acc = vpadalq_s16(acc, vmull_s8(vget_high_s8(va), vget_high_s8(vb)));
   }
   int32_t sum = vaddvq_s32(acc);
-  for (; i < n; ++i) {
+  for (int64_t r = n - i; r > 0; --r, ++i) {
     sum += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
   }
   return sum;
@@ -701,6 +767,14 @@ inline int32_t DotI8(const int8_t* a, const int8_t* b, int64_t n) {
 /// sum_j a[j]*b[j], fixed 4-lane order (see header comment).
 inline double Dot(const double* a, const double* b, int64_t n) {
   MSOPDS_SIMD_DISPATCH(Dot, a, b, n);
+}
+
+/// out[j] = Dot(a, b + j*k, k) for every j < m: one row of k elements
+/// against m contiguous rows of b. Bit-equal to m Dot calls in every
+/// backend; the row kernel of MatMulNT.
+inline void RowDots(const double* a, const double* b, int64_t k, int64_t m,
+                    double* out) {
+  MSOPDS_SIMD_DISPATCH(RowDots, a, b, k, m, out);
 }
 
 /// sum_j a[j], fixed 4-lane order.

@@ -1,9 +1,8 @@
 #include "util/arena.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
+#include "util/env.h"
 #include "util/logging.h"
 
 #if defined(__has_feature)
@@ -42,12 +41,7 @@ int ClassIndex(int64_t capacity) {
 }
 
 bool EnvEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("MSOPDS_ARENA");
-    if (env == nullptr) return true;
-    return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-             std::strcmp(env, "false") == 0);
-  }();
+  static const bool enabled = EnvSwitch("MSOPDS_ARENA", true);
   return enabled;
 }
 

@@ -52,8 +52,8 @@ struct ArenaStats {
 /// pointer into a cached block still reports use-after-poison.
 ///
 /// The pool is on by default and switchable for A/B verification with
-/// the MSOPDS_ARENA environment variable (0/off disables recycling;
-/// SetEnabled() overrides at runtime). Allocation results are identical
+/// the MSOPDS_ARENA environment switch (0 disables recycling, 1 keeps
+/// it; util/env.h; SetEnabled() overrides at runtime). Allocation results are identical
 /// either way — recycled blocks are handed out exactly as a fresh
 /// allocation would be — so enabled/disabled runs are bit-identical.
 class Arena {

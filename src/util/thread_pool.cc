@@ -1,9 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace msopds {
@@ -66,13 +66,10 @@ ThreadPool& ThreadPool::Global() {
 }
 
 int ThreadPool::DefaultNumThreads() {
-  if (const char* env = std::getenv("MSOPDS_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1) return std::min(parsed, kMaxThreads);
-    MSOPDS_LOG(Warning) << "ignoring invalid MSOPDS_THREADS='" << env << "'";
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : std::min<int>(static_cast<int>(hw), kMaxThreads);
+  const int hardware =
+      hw == 0 ? 1 : std::min<int>(static_cast<int>(hw), kMaxThreads);
+  return static_cast<int>(EnvCount("MSOPDS_THREADS", kMaxThreads, hardware));
 }
 
 ThreadPool::ThreadPool(int num_threads) {

@@ -50,12 +50,12 @@ double PairwiseSum(std::vector<double> partials);
 /// chunks inline and serially — same grid, same results, no deadlock.
 class ThreadPool {
  public:
-  /// The process-wide pool used by all tensor kernels. First use reads
-  /// MSOPDS_THREADS (>= 1); unset or invalid falls back to the hardware
-  /// concurrency.
+  /// The process-wide pool used by all tensor kernels, sized by
+  /// DefaultNumThreads() on first use.
   static ThreadPool& Global();
 
-  /// Thread count from the environment (MSOPDS_THREADS) or hardware.
+  /// MSOPDS_THREADS, a count in [1, kMaxThreads] (util/env.h); unset or
+  /// invalid falls back to the hardware concurrency.
   static int DefaultNumThreads();
 
   explicit ThreadPool(int num_threads);

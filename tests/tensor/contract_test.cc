@@ -41,6 +41,18 @@ TEST(OpsContractTest, GatherOutOfRangeDies) {
   EXPECT_DEATH(Gather1(x, MakeIndex({5})), "Check failed");
 }
 
+// A scatter checks its destinations when it plans a new row count, so a
+// kept plan for 10 rows does not let entry 5 through at 3 rows.
+TEST(OpsContractTest, ScatterChecksEachNewRowCount) {
+  const IndexVec idx = MakeIndex({0, 5});
+  const Variable g = Constant(Tensor::FromVector({1, 2}));
+  const Variable rows = Constant(Tensor::FromMatrix(2, 2, {1, 2, 3, 4}));
+  EXPECT_EQ(ScatterAdd1(g, idx, 10).value().size(), 10);
+  EXPECT_EQ(ScatterAddRows(rows, idx, 10).value().size(), 20);
+  EXPECT_DEATH(ScatterAdd1(g, idx, 3), "Check failed");
+  EXPECT_DEATH(ScatterAddRows(rows, idx, 3), "Check failed");
+}
+
 TEST(OpsContractTest, ReshapeMustPreserveSize) {
   Variable x = Constant(Tensor::FromVector({1, 2, 3}));
   EXPECT_DEATH(Reshape(x, {2, 2}), "keep size");

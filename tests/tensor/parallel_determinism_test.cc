@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -265,6 +266,146 @@ TEST(ParallelDeterminismTest, ConcurrentTopLevelRegionsMatchSerialResults) {
       }
     }
   }
+}
+
+// The four scatter kernels that read an index's kept ScatterPlan
+// (tensor/index.h), forward and gradients, on multi-chunk grids at D=8.
+std::vector<Tensor> ScatterKernels(const IndexVec& dst, const IndexVec& src,
+                                   const Tensor& rows0, const Tensor& w0,
+                                   const Tensor& x0, int64_t num_dst) {
+  Variable rows = Param(rows0.Clone());
+  Variable w = Param(w0.Clone());
+  Variable x = Param(x0.Clone());
+  Variable loss =
+      Add(Add(Sum(Square(ScatterAddRows(rows, dst, num_dst))),
+              Sum(Square(ScatterAdd1(w, dst, num_dst)))),
+          Add(Sum(Square(SpMM(dst, src, w, x, num_dst))),
+              Sum(Square(SegmentSoftmax(w, dst, num_dst)))));
+  return ForwardAndGrads(loss, {rows, w, x});
+}
+
+// A kept plan gives the bits a freshly built one does: the kernels run
+// twice on one pair of indices (the second run reads the plans the first
+// built), then once on fresh indices holding the same lists.
+TEST(ScatterPlanTest, KeptPlansMatchFreshIndexBitForBit) {
+  Rng rng(36);
+  constexpr int64_t kNumDst = 9000;  // 18 row chunks at D=8, 3 flat chunks
+  constexpr int64_t kNumSrc = 400;
+  constexpr int64_t kNumEdges = 12000;
+  constexpr int64_t kDim = 8;
+  std::vector<int64_t> dst_list(kNumEdges), src_list(kNumEdges);
+  for (int64_t& v : dst_list) v = rng.UniformInt(kNumDst);
+  for (int64_t& v : src_list) v = rng.UniformInt(kNumSrc);
+  const Tensor rows0 = RandomTensor({kNumEdges, kDim}, &rng);
+  const Tensor w0 = RandomTensor({kNumEdges}, &rng);
+  const Tensor x0 = RandomTensor({kNumSrc, kDim}, &rng);
+  ThreadPool::Global().SetNumThreads(4);
+  const IndexVec dst = MakeIndex(dst_list);
+  const IndexVec src = MakeIndex(src_list);
+  const std::vector<Tensor> first =
+      ScatterKernels(dst, src, rows0, w0, x0, kNumDst);
+  const std::vector<Tensor> kept =
+      ScatterKernels(dst, src, rows0, w0, x0, kNumDst);
+  const std::vector<Tensor> fresh = ScatterKernels(
+      MakeIndex(dst_list), MakeIndex(src_list), rows0, w0, x0, kNumDst);
+  ThreadPool::Global().SetNumThreads(1);
+  ASSERT_EQ(first.size(), kept.size());
+  ASSERT_EQ(first.size(), fresh.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_TRUE(BitIdentical(first[i], kept[i])) << "kept, tensor " << i;
+    EXPECT_TRUE(BitIdentical(first[i], fresh[i])) << "fresh, tensor " << i;
+  }
+}
+
+// Serial scatter-adds in index order, of g ([K, d]) into a zero
+// [rows, d] matrix and of g ([K]) into a zero [rows] vector: the
+// references every plan must reproduce.
+Tensor SerialScatterRows(const Tensor& g, const std::vector<int64_t>& idx,
+                         int64_t rows) {
+  const int64_t d = g.dim(1);
+  Tensor out = Tensor::Zeros({rows, d});
+  for (size_t k = 0; k < idx.size(); ++k) {
+    for (int64_t j = 0; j < d; ++j) {
+      out.data()[idx[k] * d + j] += g.data()[static_cast<int64_t>(k) * d + j];
+    }
+  }
+  return out;
+}
+
+Tensor SerialScatter1(const Tensor& g, const std::vector<int64_t>& idx,
+                      int64_t rows) {
+  Tensor out = Tensor::Zeros({rows});
+  for (size_t k = 0; k < idx.size(); ++k) {
+    out.data()[idx[k]] += g.data()[k];
+  }
+  return out;
+}
+
+// One index keeps one plan per row count: at 100 rows (one chunk) and at
+// 10,000 rows (20 chunks of 512 at D=8), in both orders of first use,
+// ScatterAddRows and ScatterAdd1 match the serial loop.
+TEST(ScatterPlanTest, OneIndexAtTwoRowCountsMatchesSerialLoop) {
+  Rng rng(37);
+  constexpr int64_t kEntries = 3000;
+  constexpr int64_t kDim = 8;
+  std::vector<int64_t> list(kEntries);
+  for (int64_t& v : list) v = rng.UniformInt(100);
+  const Tensor g = RandomTensor({kEntries, kDim}, &rng);
+  const Tensor g1 = RandomTensor({kEntries}, &rng);
+  ThreadPool::Global().SetNumThreads(4);
+  for (const std::vector<int64_t>& row_counts :
+       {std::vector<int64_t>{100, 10000}, std::vector<int64_t>{10000, 100}}) {
+    const IndexVec idx = MakeIndex(list);
+    for (const int64_t rows : row_counts) {
+      EXPECT_TRUE(BitIdentical(
+          ScatterAddRows(Constant(g.Clone()), idx, rows).value(),
+          SerialScatterRows(g, list, rows)))
+          << "ScatterAddRows rows=" << rows;
+      EXPECT_TRUE(
+          BitIdentical(ScatterAdd1(Constant(g1.Clone()), idx, rows).value(),
+                       SerialScatter1(g1, list, rows)))
+          << "ScatterAdd1 rows=" << rows;
+    }
+  }
+  ThreadPool::Global().SetNumThreads(1);
+}
+
+// Two threads take one fresh index's first plan at once: both get the one
+// plan built, and both scatter the serial loop's bits. Under
+// ThreadSanitizer this race-checks the index's plan list.
+TEST(ScatterPlanTest, ConcurrentFirstUseBuildsOnePlan) {
+  Rng rng(38);
+  constexpr int64_t kRows = 5000;
+  constexpr int64_t kEntries = 6000;
+  constexpr int64_t kDim = 8;
+  std::vector<int64_t> list(kEntries);
+  for (int64_t& v : list) v = rng.UniformInt(kRows);
+  const Tensor g = RandomTensor({kEntries, kDim}, &rng);
+  const Tensor expected = SerialScatterRows(g, list, kRows);
+  ThreadPool::Global().SetNumThreads(4);
+  for (int round = 0; round < 20; ++round) {
+    const IndexVec idx = MakeIndex(list);
+    std::atomic<int> waiting{2};
+    const ScatterPlan* plans[2] = {nullptr, nullptr};
+    Tensor results[2];
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) {
+        }
+        plans[t] = &idx->Plan(kRows, 512);  // ScatterAddRows' grid at D=8
+        results[t] = ScatterAddRows(Constant(g.Clone()), idx, kRows).value();
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(plans[0], plans[1]) << "round " << round;
+    for (int t = 0; t < 2; ++t) {
+      EXPECT_TRUE(BitIdentical(results[t], expected))
+          << "round " << round << " thread " << t;
+    }
+  }
+  ThreadPool::Global().SetNumThreads(1);
 }
 
 // End-to-end acceptance criterion: one full TrainModel run produces

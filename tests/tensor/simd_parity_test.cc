@@ -9,7 +9,9 @@
 
 #include "tensor/simd.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -168,6 +170,74 @@ TEST(SimdParityTest, ElementwiseMapsMatchScalarReferenceBitForBit) {
     simd::scalar::Axpy(coeff[3], x3.data(), sequential.data(), n);
     EXPECT_TRUE(BitEqual(fused_vector, sequential))
         << "Axpy4 vs sequential Axpy n=" << n;
+  }
+}
+
+// RowDots against its naive twin, m simd::Dot calls, and against the
+// scalar reference's RowDots. k in 0..12 and m in 0..9 cover every
+// remainder of 4 for both, so the AVX2 four-output pass, its per-output
+// fallback for k % 4 != 0 and its m tail all run. The special pass
+// mixes signed zeros, infinities and NaNs of both signs into both
+// operands.
+//
+// Every result must match bit for bit, signed zeros and infinities
+// included, except that a NaN need only meet a NaN. Which NaN an add of
+// two NaNs returns is its first operand on x86, and GCC treats IEEE
+// addition as commutative: it swaps the operands of a scalar `+` and of
+// _mm256_add_pd (a vector `+` in avxintrin.h) as register allocation
+// suits it. So no source order pins the sign of such a NaN: built with
+// gcc 12.2 at -O3, scalar::Dot called directly and scalar::Dot inlined
+// into scalar::RowDots return opposite signs for {+NaN, -NaN} in lanes 0
+// and 1 at k = 3, and avx2::Dot and scalar::Dot disagree the same way
+// at k = 5.
+bool SameDot(double got, double want) {
+  return std::isnan(want) ? std::isnan(got) : BitEqual(got, want);
+}
+
+::testing::AssertionResult SameDots(const std::vector<double>& got,
+                                    const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "size mismatch";
+  }
+  for (size_t j = 0; j < got.size(); ++j) {
+    if (!SameDot(got[j], want[j])) {
+      return ::testing::AssertionFailure()
+             << "output " << j << ": " << got[j] << " vs " << want[j];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SimdParityTest, RowDotsMatchPerRowDot) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0, -0.0, inf, -inf, nan, -nan};
+  for (const bool with_specials : {false, true}) {
+    for (int64_t k = 0; k <= 12; ++k) {
+      for (int64_t m = 0; m <= 9; ++m) {
+        std::vector<double> a = TestValues(k, 10 + static_cast<uint64_t>(k));
+        std::vector<double> b =
+            TestValues(k * m, 30 + static_cast<uint64_t>(m));
+        if (with_specials) {
+          size_t next = static_cast<size_t>(k + m);
+          for (size_t i = 0; i < a.size(); i += 3) a[i] = specials[next++ % 6];
+          for (size_t i = 1; i < b.size(); i += 4) b[i] = specials[next++ % 6];
+        }
+        std::vector<double> rows(static_cast<size_t>(m));
+        std::vector<double> dots(static_cast<size_t>(m));
+        std::vector<double> reference(static_cast<size_t>(m));
+        simd::RowDots(a.data(), b.data(), k, m, rows.data());
+        for (int64_t j = 0; j < m; ++j) {
+          dots[static_cast<size_t>(j)] =
+              simd::Dot(a.data(), b.data() + j * k, k);
+        }
+        simd::scalar::RowDots(a.data(), b.data(), k, m, reference.data());
+        EXPECT_TRUE(SameDots(rows, dots))
+            << "k=" << k << " m=" << m << " specials=" << with_specials;
+        EXPECT_TRUE(SameDots(rows, reference))
+            << "k=" << k << " m=" << m << " specials=" << with_specials;
+      }
+    }
   }
 }
 

@@ -200,7 +200,12 @@ TEST(ThreadPoolTest, DefaultNumThreadsHonorsEnvironment) {
   ::setenv("MSOPDS_THREADS", "not-a-number", 1);
   EXPECT_GE(ThreadPool::DefaultNumThreads(), 1);
   ::unsetenv("MSOPDS_THREADS");
-  EXPECT_GE(ThreadPool::DefaultNumThreads(), 1);
+  const int hardware = ThreadPool::DefaultNumThreads();
+  EXPECT_GE(hardware, 1);
+  // A count with trailing junk is invalid, not its leading digits.
+  ::setenv("MSOPDS_THREADS", "4abc", 1);
+  EXPECT_EQ(ThreadPool::DefaultNumThreads(), hardware);
+  ::unsetenv("MSOPDS_THREADS");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide correctness gate. No stage reruns tests an earlier stage ran
 # in the same build and environment:
+# - a clean Release build that fails on any compiler warning;
 # - the full ctest suite at the default settings, at MSOPDS_THREADS=4,
 #   with the arena off and with the SIMD backends off (every label —
 #   simd, quant, scale, serve, serve_fault, memory, golden — runs inside
@@ -107,8 +108,20 @@ if [ $SMOKE -eq 1 ]; then
 fi
 
 # --- release build + tests ---------------------------------------------------
+# A clean rebuild, so every translation unit compiles in this stage; any
+# compiler warning in its output fails the stage.
 build_release() {
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
+  local log rc
+  log=$(mktemp) || return 1
+  { cmake -B build -S . -DCMAKE_BUILD_TYPE=Release \
+      && cmake --build build -j --clean-first; } 2>&1 | tee "$log"
+  rc=${PIPESTATUS[0]}
+  if [ "$rc" -eq 0 ] && grep -q 'warning:' "$log"; then
+    echo "build-release: the build printed the warnings above" >&2
+    rc=1
+  fi
+  rm -f "$log"
+  return "$rc"
 }
 run_stage "build-release" build_release
 if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
