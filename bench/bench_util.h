@@ -60,6 +60,7 @@
 #include "data/synthetic.h"
 #include "scale/orchestrator.h"
 #include "serve/engine.h"
+#include "tensor/simd.h"
 #include "util/arena.h"
 #include "util/checkpoint.h"
 #include "util/determinism_lint.h"
@@ -229,6 +230,40 @@ inline void WriteStaticChecksFields(JsonWriter* json,
   json->Key("lint_clean").Bool(stats.sampled && stats.lint_findings == 0);
   json->Key("thread_safety_annotations").Bool(stats.thread_safety_annotations);
   json->EndObject();
+}
+
+/// The "model name" line of /proc/cpuinfo, or "unknown" where there is
+/// none (non-Linux hosts, some ARM kernels).
+inline std::string CpuModelName() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const size_t begin = line.find_first_not_of(' ', colon + 1);
+    if (begin != std::string::npos) return line.substr(begin);
+  }
+  return "unknown";
+}
+
+/// Emits what a committed bench file was measured on into the current
+/// JSON object: the probed SIMD backend and whether it is a vector one,
+/// the online CPU count, the CPU model, the compiler and the CMake build
+/// type. The commit that lands a regenerated file is its provenance.
+/// Call between Key/Value pairs of an open object.
+inline void WriteMachineFields(JsonWriter* json) {
+  json->Key("backend").String(simd::BackendName());
+  json->Key("vector_active").Bool(simd::VectorActive());
+  const long nproc = ::sysconf(_SC_NPROCESSORS_ONLN);
+  json->Key("nproc").Int(static_cast<int64_t>(nproc));
+  json->Key("cpu_model").String(CpuModelName());
+#if defined(__clang__)
+  json->Key("compiler").String(__VERSION__);
+#else
+  json->Key("compiler").String(std::string("g++ ") + __VERSION__);
+#endif
+  json->Key("build_type").String(MSOPDS_BUILD_TYPE);
 }
 
 /// Emits the serving engine's robustness counters (plus client-side

@@ -4,7 +4,8 @@
 //   * snapshot payload bytes and factor bytes per user row (the memory
 //     the quantized formats shrink),
 //   * the serve-dot hot path in isolation: one user row scored against
-//     every item row through the width-matched kernel, single thread,
+//     every item row through ModelSnapshot::ScoreItems, one top-K tile
+//     at a time, single thread,
 //   * batched TopKForUsers QPS at each --threads entry,
 //   * ranking fidelity vs the fp64 reference (mean top-k overlap and
 //     top-1 agreement over a user sample — the bench-side echo of the
@@ -44,7 +45,6 @@
 #include "serve/model_snapshot.h"
 #include "serve/quantize.h"
 #include "serve/topk.h"
-#include "tensor/simd.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
@@ -114,23 +114,26 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// ns per full-catalog user scoring pass (items * one dot each), single
-// thread, through the snapshot's width-matched kernel. Each repetition
-// runs at least dot_ms of wall time.
+// ns per full-catalog user scoring pass, single thread, through the
+// snapshot's width-matched kernel: ScoreItems over the catalogue one
+// top-K tile (serve::kTopKItemTile items) at a time, as TopKForUsers
+// scores it. Each repetition runs at least dot_ms of wall time.
 RepStats TimeServeDot(const serve::ModelSnapshot& snapshot,
                       const QuantBenchFlags& flags) {
   const int64_t items = snapshot.num_items();
   std::vector<double> samples;
+  std::vector<double> scores(static_cast<size_t>(serve::kTopKItemTile));
   double sink = 0.0;
   for (int rep = 0; rep < flags.reps; ++rep) {
-    const serve::ModelSnapshot::UserRef row =
-        snapshot.UserRefFor(rep % snapshot.num_users());
     const int64_t user = rep % snapshot.num_users();
+    const serve::ModelSnapshot::UserRef row = snapshot.UserRefFor(user);
     int64_t passes = 0;
     const auto start = std::chrono::steady_clock::now();
     do {
-      for (int64_t i = 0; i < items; ++i) {
-        sink += snapshot.ScoreRef(row, user, i);
+      for (int64_t tile = 0; tile < items; tile += serve::kTopKItemTile) {
+        const int64_t end = std::min(tile + serve::kTopKItemTile, items);
+        snapshot.ScoreItems(row, user, tile, end, scores.data());
+        sink += scores[0];
       }
       ++passes;
     } while (SecondsSince(start) * 1e3 < flags.dot_ms);
@@ -276,8 +279,7 @@ int Main(int argc, char** argv) {
   json.Key("k").Int(flags.k);
   json.Key("reps").Int(flags.reps);
   json.Key("sample_users").Int(sample);
-  json.Key("backend").String(simd::BackendName());
-  json.Key("vector_active").Bool(simd::VectorActive());
+  WriteMachineFields(&json);
   WriteStaticChecksFields(&json, StaticCheckStats::Sample());
   json.Key("cases").BeginArray();
   for (const PrecisionRow& row : rows) {

@@ -220,8 +220,8 @@ void BM_SimdElementwiseChain(benchmark::State& state) {
 BENCHMARK(BM_SimdElementwiseChain)->ArgNames({"simd"})->Arg(0)->Arg(1);
 
 void BM_SimdServeScoreRow(benchmark::State& state) {
-  // The fp64 serve-path dot: one user factor row dotted against every
-  // item factor row (serve/model_snapshot.h ScoreRef).
+  // The fp64 serve-path dot: one user factor row against a tile of item
+  // factor rows in one RowDots call (serve/model_snapshot.h ScoreItems).
   ThreadPool::Global().SetNumThreads(1);
   const int64_t items = 512;
   const int64_t dim = 64;
@@ -231,10 +231,7 @@ void BM_SimdServeScoreRow(benchmark::State& state) {
   const Tensor factors = RandomTensor({items, dim}, &rng);
   std::vector<double> scores(static_cast<size_t>(items));
   for (auto _ : state) {
-    for (int64_t i = 0; i < items; ++i) {
-      scores[static_cast<size_t>(i)] =
-          simd::Dot(user.data(), factors.data() + i * dim, dim);
-    }
+    simd::RowDots(user.data(), factors.data(), dim, items, scores.data());
     benchmark::DoNotOptimize(scores.data());
     benchmark::ClobberMemory();
   }
@@ -264,8 +261,7 @@ class AbReporter : public benchmark::ConsoleReporter {
   int WriteTable(const std::string& path) const {
     JsonWriter json;
     json.BeginObject();
-    json.Key("backend").String(simd::BackendName());
-    json.Key("vector_active").Bool(simd::VectorActive());
+    WriteMachineFields(&json);
     json.Key("threads").Int(1);
     WriteStaticChecksFields(&json, StaticCheckStats::Sample());
     json.Key("cases").BeginArray();

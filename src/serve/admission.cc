@@ -16,6 +16,7 @@ const char* ServeStatusName(ServeStatus status) {
     case ServeStatus::kResourceExhausted: return "RESOURCE_EXHAUSTED";
     case ServeStatus::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
     case ServeStatus::kCancelled: return "CANCELLED";
+    case ServeStatus::kInvalidArgument: return "INVALID_ARGUMENT";
   }
   return "UNKNOWN";
 }

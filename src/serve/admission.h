@@ -28,6 +28,11 @@ enum class ServeStatus {
   kDeadlineExceeded = 2,
   /// The engine stopped before the request could be scored.
   kCancelled = 3,
+  /// The request itself is malformed: k <= 0 (resolved at Submit), or a
+  /// user id outside the snapshot its batch scores against (resolved at
+  /// batch pickup; a publish can shrink the user count). Retrying the
+  /// same request cannot help.
+  kInvalidArgument = 4,
 };
 
 const char* ServeStatusName(ServeStatus status);
@@ -153,9 +158,10 @@ struct RetryPolicy {
 int64_t BackoffDelayUs(const RetryPolicy& policy, int attempt, Rng* rng);
 
 /// Blocking serve client that retries rejected requests under a
-/// RetryPolicy. Shed (kDeadlineExceeded) and kCancelled responses are
-/// returned as-is: the deadline is already blown / the engine is gone,
-/// so retrying cannot help. Not thread-safe; give each client thread its
+/// RetryPolicy. Shed (kDeadlineExceeded), kCancelled and
+/// kInvalidArgument responses are returned as-is: the deadline is
+/// already blown / the engine is gone / the request is malformed, so
+/// retrying cannot help. Not thread-safe; give each client thread its
 /// own instance (with its own seed).
 class RetryingClient {
  public:

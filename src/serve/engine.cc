@@ -83,11 +83,17 @@ void ServingEngine::ResolveNow(Pending* pending, ServeStatus status) {
 }
 
 std::future<ServeResponse> ServingEngine::Submit(const ServeRequest& request) {
-  MSOPDS_CHECK_GT(request.k, 0);
   Pending pending;
   pending.request = request;
   pending.enqueued = std::chrono::steady_clock::now();
   std::future<ServeResponse> future = pending.promise.get_future();
+  if (request.k <= 0) {
+    ResolveNow(&pending, ServeStatus::kInvalidArgument);
+    MutexLock lock(stats_mu_);
+    ++requests_;
+    ++invalid_;
+    return future;
+  }
   bool cancelled = false;
   bool rejected = false;
   {
@@ -184,12 +190,21 @@ void ServingEngine::ScoreBatch(std::vector<Pending> batch) {
 
   std::vector<ServeResponse> responses(batch.size());
   int64_t shed = 0;
+  int64_t invalid = 0;
 
   // Deadline enforcement: a request whose budget passed while it queued
   // is shed here, before any scoring work is spent on it.
   std::vector<size_t> full_members;
   std::vector<size_t> degraded_members;
   for (size_t i = 0; i < batch.size(); ++i) {
+    // A user id outside this batch's snapshot is the request's fault, not
+    // the batch's: it resolves kInvalidArgument and the rest is served.
+    const int64_t user = batch[i].request.user;
+    if (snapshot != nullptr && (user < 0 || user >= snapshot->num_users())) {
+      responses[i].status = ServeStatus::kInvalidArgument;
+      ++invalid;
+      continue;
+    }
     const int64_t deadline_us = batch[i].request.deadline_us > 0
                                     ? batch[i].request.deadline_us
                                     : options_.deadline_us;
@@ -292,6 +307,7 @@ void ServingEngine::ScoreBatch(std::vector<Pending> batch) {
     batched_requests_ += static_cast<int64_t>(batch.size());
     deadline_misses_ += misses;
     shed_ += shed;
+    invalid_ += invalid;
     degraded_ += served_degraded;
     latencies_us_.insert(latencies_us_.end(), latencies.begin(),
                          latencies.end());
@@ -312,6 +328,7 @@ EngineStats ServingEngine::Stats() const {
     stats.shed = shed_;
     stats.degraded = degraded_;
     stats.cancelled = cancelled_;
+    stats.invalid = invalid_;
     stats.mean_batch_size =
         batches_ > 0 ? static_cast<double>(batched_requests_) /
                            static_cast<double>(batches_)

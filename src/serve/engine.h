@@ -57,11 +57,14 @@ struct EngineStats {
   /// Publish() calls that failed (fault-injected) and rolled back.
   int64_t publish_failures = 0;
   /// Admission/overload counters. requests = admitted + rejected +
-  /// cancelled-at-submit; admitted = scored (full or degraded) + shed +
-  /// cancelled-after-admission.
+  /// cancelled-at-submit + invalid-at-submit; admitted = scored (full or
+  /// degraded) + shed + invalid-at-pickup + cancelled-after-admission.
   int64_t admitted = 0;
   int64_t rejected = 0;
   int64_t shed = 0;
+  /// Requests answered kInvalidArgument: k <= 0 at Submit (never
+  /// admitted), or a user outside the batch's snapshot at pickup.
+  int64_t invalid = 0;
   int64_t degraded = 0;
   int64_t cancelled = 0;
   /// High-water mark of the pending queue depth.
@@ -175,9 +178,12 @@ class ServingEngine {
   std::shared_ptr<const ModelSnapshot> CurrentSnapshot() const;
 
   /// Enqueues a request; the future resolves once its micro-batch is
-  /// scored, or immediately with kResourceExhausted (queue full) /
-  /// kCancelled (engine stopped). Requests admitted before any Publish()
-  /// resolve degraded with an empty list and snapshot_version 0.
+  /// scored, or immediately with kInvalidArgument (k <= 0) /
+  /// kResourceExhausted (queue full) / kCancelled (engine stopped). A
+  /// user id outside the snapshot its batch loads resolves
+  /// kInvalidArgument at pickup, and the rest of the batch is served.
+  /// Requests admitted before any Publish() resolve degraded with an
+  /// empty list and snapshot_version 0.
   std::future<ServeResponse> Submit(const ServeRequest& request);
 
   /// Submit + wait. The engine resolves every promise (reject, shed,
@@ -234,6 +240,7 @@ class ServingEngine {
   int64_t shed_ MSOPDS_GUARDED_BY(stats_mu_) = 0;
   int64_t degraded_ MSOPDS_GUARDED_BY(stats_mu_) = 0;
   int64_t cancelled_ MSOPDS_GUARDED_BY(stats_mu_) = 0;
+  int64_t invalid_ MSOPDS_GUARDED_BY(stats_mu_) = 0;
   std::atomic<int64_t> publishes_{0};
   std::atomic<int64_t> publish_failures_{0};
   std::vector<int64_t> latencies_us_ MSOPDS_GUARDED_BY(stats_mu_);

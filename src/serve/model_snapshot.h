@@ -71,7 +71,10 @@ struct SnapshotOptions {
 /// latent dimension (the same fixed 4-lane reduction PairDot's RowSum
 /// uses offline, DESIGN.md §14), then `+ user_bias`, `+ item_bias` (each
 /// skipped when the model has none), then `+ offset` — which makes
-/// Score() bit-identical to the model's PredictPairs.
+/// Score() bit-identical to the model's PredictPairs. The top-K kernel
+/// scores whole item spans through ScoreItems() instead: one
+/// simd::RowDots per span, which equals a Dot per item bit for bit, and
+/// the same adds in the same order, so its scores are Score()'s.
 ///
 /// A snapshot may also hold its factor blocks quantized (kInt8,
 /// serve/quantize.h); the int8 kernel then replaces simd::Dot:
@@ -112,8 +115,8 @@ class ModelSnapshot {
   /// Precision-erased handle to one user's factor row: exactly one of
   /// the pointers is set (matching precision()), and `scale` carries the
   /// user's int8 dequantization scale (0.0 otherwise). The tiled top-K
-  /// kernel resolves the handle once per user and scores whole item
-  /// tiles through it.
+  /// kernel resolves the handle once per user and block and scores whole
+  /// item tiles through it (ScoreItems).
   struct UserRef {
     const double* f64 = nullptr;
     const int8_t* q8 = nullptr;
@@ -140,34 +143,55 @@ class ModelSnapshot {
   /// Predicted rating of (user, item). For kFp64 snapshots this is
   /// bit-identical to the exported model's PredictPairs (see class
   /// comment); quantized snapshots score through the width-matched
-  /// kernel and are bit-stable within their own precision.
+  /// kernel and are bit-stable within their own precision. The per-pair
+  /// reference that ScoreItems is tested against.
   double Score(int64_t user, int64_t item) const {
-    return ScoreRef(UserRefFor(user), user, item);
-  }
-
-  /// Score() with the user row already resolved — the tiled top-K kernel
-  /// keeps the handle across an item tile. The precision switch is one
-  /// perfectly-predicted branch per score; the dot itself dominates.
-  double ScoreRef(const UserRef& ref, int64_t user, int64_t item) const {
     MSOPDS_DCHECK_GE(item, 0);
     MSOPDS_DCHECK_LT(item, num_items_);
+    const UserRef ref = UserRefFor(user);
     double s = 0.0;
     switch (precision_) {
       case SnapshotPrecision::kFp64:
         s = simd::Dot(ref.f64, item_factors_.data() + item * dim_, dim_);
         break;
       case SnapshotPrecision::kInt8:
-        // Fixed association: (dot * user_scale) * item_scale. The int
-        // dot is exact; the two multiplies are the only rounding steps.
-        s = (static_cast<double>(
-                 simd::DotI8(ref.q8, item_q8_.data() + item * dim_, dim_)) *
-             ref.scale) *
-            static_cast<double>(item_scale_[static_cast<size_t>(item)]);
+        s = Int8Dot(ref, item);
         break;
     }
     if (!user_bias_.empty()) s += user_bias_[static_cast<size_t>(user)];
     if (!item_bias_.empty()) s += item_bias_[static_cast<size_t>(item)];
     return s + offset_;
+  }
+
+  /// out[j] = Score(user, begin + j) for every item in [begin, end), bit
+  /// for bit, with the user row already resolved as `ref` (the top-K
+  /// kernel keeps it across a block). The precision switch runs once per
+  /// call: fp64 scores the contiguous item rows with one simd::RowDots,
+  /// int8 takes one DotI8 per item. The bias and offset adds then run
+  /// over the span in Score's order, so each element sees the same
+  /// operations on the same operands.
+  void ScoreItems(const UserRef& ref, int64_t user, int64_t begin,
+                  int64_t end, double* out) const {
+    MSOPDS_DCHECK_GE(begin, 0);
+    MSOPDS_DCHECK_LE(begin, end);
+    MSOPDS_DCHECK_LE(end, num_items_);
+    const int64_t count = end - begin;
+    switch (precision_) {
+      case SnapshotPrecision::kFp64:
+        simd::RowDots(ref.f64, item_factors_.data() + begin * dim_, dim_,
+                      count, out);
+        break;
+      case SnapshotPrecision::kInt8:
+        for (int64_t j = 0; j < count; ++j) out[j] = Int8Dot(ref, begin + j);
+        break;
+    }
+    if (!user_bias_.empty()) {
+      simd::Offset(out, user_bias_[static_cast<size_t>(user)], out, count);
+    }
+    if (!item_bias_.empty()) {
+      simd::AddInPlace(out, item_bias_.data() + begin, count);
+    }
+    simd::Offset(out, offset_, out, count);
   }
 
   /// Payload bytes held by this snapshot (factor blocks at their stored
@@ -186,6 +210,16 @@ class ModelSnapshot {
   /// Quantized snapshots are assembled field-by-field by
   /// QuantizeSnapshot; the public constructor stays kFp64-only.
   ModelSnapshot() = default;
+
+  /// The int8 product of `ref` and item row `item` with its fixed
+  /// association, (dot * user_scale) * item_scale: the int dot is exact,
+  /// and the two multiplies are the only rounding steps.
+  double Int8Dot(const UserRef& ref, int64_t item) const {
+    return (static_cast<double>(
+                simd::DotI8(ref.q8, item_q8_.data() + item * dim_, dim_)) *
+            ref.scale) *
+           static_cast<double>(item_scale_[static_cast<size_t>(item)]);
+  }
 
   int64_t num_users_ = 0;
   int64_t num_items_ = 0;

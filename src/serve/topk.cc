@@ -1,6 +1,7 @@
 #include "serve/topk.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/thread_pool.h"
 
@@ -8,14 +9,16 @@ namespace msopds {
 namespace serve {
 namespace {
 
-// Items per scoring tile: one tile of item rows (kItemTile * dim doubles)
-// stays cache-hot while every user of the chunk consumes it. The tile
-// size never affects results — selection is order-independent.
-constexpr int64_t kItemTile = 256;
+// Items per block of the grid (16 tiles). Cutting the catalogue into
+// fixed blocks gives a batch of fewer users than kernel threads a chunk
+// per thread: a 16,384-item catalogue makes four blocks, enough for one
+// user on a 4-thread pool. A catalogue of at most one block keeps a grid
+// of user chunks alone.
+constexpr int64_t kItemBlock = 16 * kTopKItemTile;
 
-// Users per chunk of the fixed grid: each user scans the whole catalog,
-// so a handful of users is already enough work per chunk; the grid stays
-// a pure function of the request size (determinism contract,
+// Users per chunk of the grid: a handful of users share each tile's item
+// rows. The grid (user chunks x item blocks) stays a pure function of
+// the request and catalogue sizes (determinism contract,
 // util/thread_pool.h).
 constexpr int64_t kUserGrain = 8;
 
@@ -23,6 +26,47 @@ constexpr int64_t kUserGrain = 8;
 // candidate at the heap root (std::*_heap keep the max at the front).
 bool WorstAtFront(const ScoredItem& a, const ScoredItem& b) {
   return RanksBefore(a, b);
+}
+
+// One cell of TopKForUsers' grid: the best-first list of items
+// [item_begin, item_end) for each of the `width` (<= kUserGrain) users
+// at `users`, into lists[0, width). The block is scored one tile at a
+// time, every user in turn, so the tile's item rows are read while
+// cache-hot.
+void TopKOfBlock(const ModelSnapshot& snapshot, const int64_t* users,
+                 size_t width, int64_t item_begin, int64_t item_end,
+                 const TopKOptions& options, std::vector<ScoredItem>* lists) {
+  MSOPDS_DCHECK_LE(static_cast<int64_t>(width), kUserGrain);
+  std::vector<TopKSelector> selectors;
+  selectors.reserve(width);
+  std::array<ModelSnapshot::UserRef, kUserGrain> rows;
+  // Each user's seen items from item_begin on: a monotone cursor rides
+  // the ascending scan (both stay null when nothing is skipped).
+  std::array<const int64_t*, kUserGrain> seen_next{};
+  std::array<const int64_t*, kUserGrain> seen_end{};
+  for (size_t u = 0; u < width; ++u) {
+    selectors.emplace_back(options.k);
+    rows[u] = snapshot.UserRefFor(users[u]);
+    if (options.exclude_seen) {
+      const int64_t* row = snapshot.seen().Row(users[u]);
+      seen_end[u] = row + snapshot.seen().RowSize(users[u]);
+      seen_next[u] = std::lower_bound(row, seen_end[u], item_begin);
+    }
+  }
+  double scores[kTopKItemTile];
+  for (int64_t tile = item_begin; tile < item_end; tile += kTopKItemTile) {
+    const int64_t tile_end = std::min(tile + kTopKItemTile, item_end);
+    for (size_t u = 0; u < width; ++u) {
+      snapshot.ScoreItems(rows[u], users[u], tile, tile_end, scores);
+      const int64_t*& next = seen_next[u];
+      for (int64_t i = tile; i < tile_end; ++i) {
+        while (next != seen_end[u] && *next < i) ++next;
+        if (next != seen_end[u] && *next == i) continue;
+        selectors[u].Offer(i, scores[i - tile]);
+      }
+    }
+  }
+  for (size_t u = 0; u < width; ++u) lists[u] = selectors[u].Take();
 }
 
 }  // namespace
@@ -104,58 +148,46 @@ TopKResult TopKForUsers(const ModelSnapshot& snapshot,
                         const std::vector<int64_t>& users,
                         const TopKOptions& options) {
   MSOPDS_CHECK_GT(options.k, 0);
+  for (const int64_t user : users) {
+    MSOPDS_CHECK_GE(user, 0);
+    MSOPDS_CHECK_LT(user, snapshot.num_users());
+  }
   const int64_t n = static_cast<int64_t>(users.size());
   const int64_t num_items = snapshot.num_items();
-  std::vector<std::vector<ScoredItem>> per_user(static_cast<size_t>(n));
-
+  const int64_t num_blocks = NumChunks(num_items, kItemBlock);
+  // One best-first list per (block, user), block-major: each cell of the
+  // grid writes the slots of its own users in its own block.
+  std::vector<std::vector<ScoredItem>> block_lists(
+      static_cast<size_t>(num_blocks * n));
   ThreadPool::Global().ParallelFor(
-      n, kUserGrain, [&](int64_t begin, int64_t end, int64_t) {
-        const int64_t width = end - begin;
-        std::vector<TopKSelector> selectors;
-        selectors.reserve(static_cast<size_t>(width));
-        std::vector<ModelSnapshot::UserRef> rows(static_cast<size_t>(width));
-        std::vector<const int64_t*> seen(static_cast<size_t>(width), nullptr);
-        std::vector<int64_t> seen_size(static_cast<size_t>(width), 0);
-        std::vector<int64_t> seen_cursor(static_cast<size_t>(width), 0);
-        for (int64_t a = begin; a < end; ++a) {
-          const int64_t user = users[static_cast<size_t>(a)];
-          MSOPDS_CHECK_GE(user, 0);
-          MSOPDS_CHECK_LT(user, snapshot.num_users());
-          const int64_t local = a - begin;
-          selectors.emplace_back(options.k);
-          rows[static_cast<size_t>(local)] = snapshot.UserRefFor(user);
-          if (options.exclude_seen) {
-            seen[static_cast<size_t>(local)] = snapshot.seen().Row(user);
-            seen_size[static_cast<size_t>(local)] =
-                snapshot.seen().RowSize(user);
-          }
-        }
-        // Tile the catalog so a tile's item rows are consumed by every
-        // user of the chunk while still cache-resident.
-        for (int64_t tile = 0; tile < num_items; tile += kItemTile) {
-          const int64_t tile_end = std::min(tile + kItemTile, num_items);
-          for (int64_t local = 0; local < width; ++local) {
-            const int64_t user = users[static_cast<size_t>(begin + local)];
-            const ModelSnapshot::UserRef& row =
-                rows[static_cast<size_t>(local)];
-            const int64_t* excluded = seen[static_cast<size_t>(local)];
-            const int64_t excluded_size =
-                seen_size[static_cast<size_t>(local)];
-            int64_t& cursor = seen_cursor[static_cast<size_t>(local)];
-            TopKSelector& selector = selectors[static_cast<size_t>(local)];
-            for (int64_t i = tile; i < tile_end; ++i) {
-              while (cursor < excluded_size && excluded[cursor] < i) ++cursor;
-              if (cursor < excluded_size && excluded[cursor] == i) continue;
-              selector.Offer(i, snapshot.ScoreRef(row, user, i));
-            }
-          }
-        }
-        for (int64_t local = 0; local < width; ++local) {
-          per_user[static_cast<size_t>(begin + local)] =
-              selectors[static_cast<size_t>(local)].Take();
+      NumChunks(n, kUserGrain) * num_blocks, 1,
+      [&](int64_t begin, int64_t end, int64_t) {
+        for (int64_t cell = begin; cell < end; ++cell) {
+          const int64_t block = cell % num_blocks;
+          const int64_t first_user = cell / num_blocks * kUserGrain;
+          const int64_t item_begin = block * kItemBlock;
+          TopKOfBlock(
+              snapshot, users.data() + first_user,
+              static_cast<size_t>(std::min(kUserGrain, n - first_user)),
+              item_begin, std::min(item_begin + kItemBlock, num_items),
+              options,
+              block_lists.data() + static_cast<size_t>(block * n + first_user));
         }
       });
 
+  // RanksBefore is a total order, so the best k of the blocks' winners
+  // are the best k of the catalogue.
+  std::vector<std::vector<ScoredItem>> per_user(static_cast<size_t>(n));
+  TopKSelector merged(options.k);
+  for (int64_t u = 0; u < n; ++u) {
+    for (int64_t block = 0; block < num_blocks; ++block) {
+      for (const ScoredItem& candidate :
+           block_lists[static_cast<size_t>(block * n + u)]) {
+        merged.Offer(candidate.item, candidate.score);
+      }
+    }
+    per_user[static_cast<size_t>(u)] = merged.Take();
+  }
   return PackTopK(per_user, options.k);
 }
 

@@ -97,15 +97,26 @@ struct TopKResult {
 TopKResult PackTopK(const std::vector<std::vector<ScoredItem>>& per_user,
                     int k);
 
-/// Blocked batched top-K scoring over a snapshot: users are partitioned
-/// on the thread-pool's fixed chunk grid, and inside a chunk the item
-/// catalog is scanned in cache-sized tiles with the tile's item rows
-/// shared across the chunk's users. Seen-item exclusion rides the
-/// ascending scan with one monotone CSR cursor per user. Scoring goes
-/// through the snapshot's precision-erased UserRef handle, so int8
-/// snapshots ride the same tiling and hit their width-matched kernel.
-/// Results are bit-identical at any thread count and tile size
-/// (RanksBefore is a total order) for every precision.
+/// Items per scoring tile of TopKForUsers: ScoreItems fills a stack
+/// buffer of this many doubles per call, and the tile's item rows stay
+/// cache-hot while every user of a chunk scores them. The tile size
+/// never affects results — selection is order-independent.
+inline constexpr int64_t kTopKItemTile = 256;
+
+/// Blocked batched top-K scoring over a snapshot. The grid is user
+/// chunks x fixed item blocks, so a batch smaller than the thread pool
+/// still spreads the catalogue over every kernel thread. A cell scores
+/// its block one cache-sized tile at a time, each user's tile in one
+/// ModelSnapshot::ScoreItems call (one simd::RowDots for fp64, one DotI8
+/// per item for int8), with the tile's item rows shared across the
+/// chunk's users; seen-item exclusion rides the ascending scan with one
+/// monotone CSR cursor per user. Each (user, block) keeps its best k, and
+/// one TopKSelector per user merges the blocks' lists. Results are
+/// bit-identical to Score() + SelectTopK at any thread count, tile or
+/// block size (RanksBefore is a total order) for every precision. Every
+/// user id must be in [0, snapshot.num_users()) (CHECKed before any
+/// scoring; the serving engine answers bad ids with kInvalidArgument
+/// instead).
 TopKResult TopKForUsers(const ModelSnapshot& snapshot,
                         const std::vector<int64_t>& users,
                         const TopKOptions& options);

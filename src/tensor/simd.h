@@ -80,10 +80,10 @@ namespace internal {
 
 // Out of line and cold: it runs once per process, but each dispatch
 // wrapper's first-use path would otherwise inline it into every hot loop
-// that calls a primitive per row. Inlined, its EnvSwitch call changed
-// register allocation in top-K scoring's per-item loop: TopKForUsers on
-// the serve-topk shape ran 10-15% slower (one thread, 4-core x86 VM,
-// gcc 12.2).
+// that calls a primitive per row or per item (int8 top-K calls DotI8 per
+// item). Inlined into such a loop, its EnvSwitch call changed the loop's
+// register allocation: a per-item Dot loop on the serve-topk shape ran
+// 10-15% slower (one thread, 4-core x86 VM, gcc 12.2).
 __attribute__((noinline, cold)) inline Backend ProbeBackend() {
   if (!EnvSwitch("MSOPDS_SIMD", true)) return Backend::kScalar;
 #if defined(MSOPDS_SIMD_X86)

@@ -14,6 +14,7 @@
 #include "recsys/matrix_factorization.h"
 #include "recsys/metrics.h"
 #include "recsys/trainer.h"
+#include "serve/admission.h"
 #include "serve/model_snapshot.h"
 #include "serve/topk.h"
 #include "util/arena.h"
@@ -115,9 +116,11 @@ TEST(ServingEngineTest, RequestBeforePublishResolvesEmpty) {
   EXPECT_EQ(response.degraded_reason, DegradedReason::kNoSnapshot);
 }
 
+// Every user scores item i as scale * (num_items - i): item 0 is best.
 std::shared_ptr<const ModelSnapshot> TinySnapshot(uint64_t version,
-                                                  double scale) {
-  const int64_t num_users = 8, num_items = 32;
+                                                  double scale,
+                                                  int64_t num_items = 32,
+                                                  int64_t num_users = 8) {
   std::vector<double> user_factors(static_cast<size_t>(num_users), 1.0);
   std::vector<double> item_factors;
   for (int64_t i = 0; i < num_items; ++i) {
@@ -215,7 +218,11 @@ TEST(ServingEngineTest, HotSwapUnderConcurrentTraffic) {
     });
   }
   for (uint64_t version = 2; version <= max_version; ++version) {
-    engine.Publish(TinySnapshot(version, 1.0 / static_cast<double>(version)));
+    // Even versions span three item blocks of the top-K grid, so batches
+    // run multi-chunk regions on the kernel pool while publishes land.
+    const int64_t num_items = version % 2 == 0 ? 9000 : 32;
+    engine.Publish(TinySnapshot(
+        version, 1.0 / static_cast<double>(version), num_items));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   stop.store(true);
@@ -225,6 +232,81 @@ TEST(ServingEngineTest, HotSwapUnderConcurrentTraffic) {
   const EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.publishes, static_cast<int64_t>(max_version));
   EXPECT_GT(stats.requests, 0);
+}
+
+// A malformed request is answered, not fatal: k <= 0 resolves at
+// Submit, a user outside the batch's snapshot at pickup (including one
+// a publish made invalid), and the engine goes on serving. None of them
+// is retried.
+TEST(ServingEngineTest, BadRequestsResolveInvalidArgumentAndServingGoesOn) {
+  ServingEngine engine;
+  engine.Publish(TinySnapshot(1, 1.0));
+  RetryingClient client(&engine, RetryPolicy{}, /*seed=*/5);
+  ServeRequest negative_user;
+  negative_user.user = -1;
+  ServeRequest past_last_user;
+  past_last_user.user = 8;
+  ServeRequest zero_k;
+  zero_k.k = 0;
+  for (const ServeRequest& bad : {negative_user, past_last_user, zero_k}) {
+    const ServeResponse response = client.Serve(bad);
+    EXPECT_EQ(response.status, ServeStatus::kInvalidArgument)
+        << "user " << bad.user << ", k " << bad.k;
+    EXPECT_TRUE(response.items.empty());
+    EXPECT_FALSE(response.served_degraded);
+  }
+  ServeRequest good;
+  good.user = 6;
+  ServeResponse response = client.Serve(good);
+  ASSERT_EQ(response.status, ServeStatus::kOk);
+  EXPECT_FALSE(response.served_degraded);
+  ASSERT_FALSE(response.items.empty());
+  EXPECT_EQ(response.items[0], 0);
+
+  // A publish shrinks the user count to 4: user 6 was valid a moment ago.
+  engine.Publish(TinySnapshot(2, 1.0, /*num_items=*/32, /*num_users=*/4));
+  EXPECT_EQ(client.Serve(good).status, ServeStatus::kInvalidArgument);
+  good.user = 3;
+  response = client.Serve(good);
+  ASSERT_EQ(response.status, ServeStatus::kOk);
+  EXPECT_EQ(response.snapshot_version, 2u);
+
+  EXPECT_EQ(client.retries(), 0);
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.invalid, 4);
+  EXPECT_EQ(stats.requests, 6);
+}
+
+// A bad request shares its batch with a good one: the good one is
+// served exactly as TopKForUsers scores it alone.
+TEST(ServingEngineTest, BadRequestLeavesTheRestOfItsBatchServed) {
+  EngineOptions options;
+  options.max_batch_size = 2;      // the batch flushes when both queue
+  options.max_wait_us = 10000000;  // ...and never on the window
+  ServingEngine engine(options);
+  const std::shared_ptr<const ModelSnapshot> snapshot =
+      TinySnapshot(1, 1.0, /*num_items=*/9000);
+  engine.Publish(snapshot);
+  ServeRequest bad;
+  bad.user = 8;
+  ServeRequest good;
+  good.user = 3;
+  std::future<ServeResponse> bad_future = engine.Submit(bad);
+  std::future<ServeResponse> good_future = engine.Submit(good);
+  EXPECT_EQ(bad_future.get().status, ServeStatus::kInvalidArgument);
+  const ServeResponse response = good_future.get();
+  ASSERT_EQ(response.status, ServeStatus::kOk);
+  EXPECT_FALSE(response.served_degraded);
+  TopKOptions topk;
+  topk.k = good.k;
+  const TopKResult want = TopKForUsers(*snapshot, {good.user}, topk);
+  EXPECT_EQ(response.items,
+            std::vector<int64_t>(want.ItemsForUser(0),
+                                 want.ItemsForUser(0) + want.counts[0]));
+  EXPECT_EQ(response.scores,
+            std::vector<double>(want.ScoresForUser(0),
+                                want.ScoresForUser(0) + want.counts[0]));
+  EXPECT_EQ(engine.Stats().batches, 1);
 }
 
 // A snapshot handed out before a swap stays valid after it: the engine's

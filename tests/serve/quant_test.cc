@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -168,12 +169,52 @@ std::shared_ptr<const ModelSnapshot> TrainedMfSnapshot(
   return ModelSnapshot::FromModel(&model, world, snapshot_options);
 }
 
+// Score() + SelectTopK per user, packed like TopKForUsers' result.
+TopKResult ReferenceTopK(const ModelSnapshot& snapshot,
+                         const std::vector<int64_t>& users,
+                         const TopKOptions& options) {
+  std::vector<std::vector<ScoredItem>> per_user;
+  for (const int64_t user : users) {
+    std::vector<double> scores;
+    for (int64_t i = 0; i < snapshot.num_items(); ++i) {
+      scores.push_back(snapshot.Score(user, i));
+    }
+    per_user.push_back(SelectTopK(scores.data(), snapshot.num_items(),
+                                  options.k, snapshot.seen().Row(user),
+                                  snapshot.seen().RowSize(user)));
+  }
+  return PackTopK(per_user, options.k);
+}
+
+// A random fp64 snapshot whose 9,001-item catalogue spans three of
+// TopKForUsers' item blocks, so the per-block lists go through the
+// merge; each user has seen a few items on either side of a block edge.
+std::shared_ptr<const ModelSnapshot> MultiBlockSnapshot(int64_t dim) {
+  const int64_t users = 12, items = 9001;
+  Rng rng(36);
+  std::vector<double> uf(static_cast<size_t>(users * dim)),
+      itf(static_cast<size_t>(items * dim));
+  for (double& v : uf) v = rng.Normal();
+  for (double& v : itf) v = rng.Normal();
+  std::vector<Rating> seen;
+  for (int64_t u = 0; u < users; ++u) {
+    for (const int64_t item : {int64_t{4095}, int64_t{4096}, 4100 + u}) {
+      seen.push_back({u, item, 4.0});
+    }
+  }
+  SnapshotOptions options;
+  options.version = 1;
+  return std::make_shared<const ModelSnapshot>(
+      users, items, dim, std::move(uf), std::move(itf),
+      std::vector<double>{}, std::vector<double>{}, /*offset=*/0.0,
+      SeenItemsCsr::FromRatings(users, items, seen), options);
+}
+
 // Dim 8 is MfConfig's default and stays inside DotI8's scalar tail;
-// dim 24 also runs its 16-wide vector body.
+// dim 24 also runs its 16-wide vector body. The trained snapshots have
+// 60 items (one block of the top-K grid); the random one has 9,001.
 TEST(QuantTopKTest, BitIdenticalAcrossThreadsAndBackendsPerPrecision) {
   const Dataset world = SmallWorld();
-  std::vector<int64_t> users(static_cast<size_t>(world.num_users));
-  std::iota(users.begin(), users.end(), 0);
   TopKOptions options;
   options.k = 10;
   ThreadPool& pool = ThreadPool::Global();
@@ -181,24 +222,35 @@ TEST(QuantTopKTest, BitIdenticalAcrossThreadsAndBackendsPerPrecision) {
   for (const int64_t dim : {int64_t{8}, int64_t{24}}) {
     for (const SnapshotPrecision precision :
          {SnapshotPrecision::kFp64, SnapshotPrecision::kInt8}) {
-      const auto snapshot = TrainedMfSnapshot(world, precision, dim);
-      ASSERT_EQ(snapshot->precision(), precision);
-      ASSERT_EQ(snapshot->dim(), dim);
-      pool.SetNumThreads(1);
-      const TopKResult t1 = TopKForUsers(*snapshot, users, options);
-      pool.SetNumThreads(4);
-      const TopKResult t4 = TopKForUsers(*snapshot, users, options);
-      pool.SetNumThreads(1);
-      const simd::Backend prev =
-          simd::internal::SetBackendForTesting(simd::Backend::kScalar);
-      const TopKResult scalar = TopKForUsers(*snapshot, users, options);
-      simd::internal::SetBackendForTesting(prev);
-      EXPECT_TRUE(SameResult(t1, t4))
-          << "threads 1 vs 4, precision " << SnapshotPrecisionName(precision)
-          << ", dim " << dim;
-      EXPECT_TRUE(SameResult(t1, scalar))
-          << "vector vs scalar, precision "
-          << SnapshotPrecisionName(precision) << ", dim " << dim;
+      const std::shared_ptr<const ModelSnapshot> multi_block =
+          precision == SnapshotPrecision::kFp64
+              ? MultiBlockSnapshot(dim)
+              : QuantizeSnapshot(*MultiBlockSnapshot(dim), precision);
+      for (const auto& snapshot :
+           {TrainedMfSnapshot(world, precision, dim), multi_block}) {
+        ASSERT_EQ(snapshot->precision(), precision);
+        ASSERT_EQ(snapshot->dim(), dim);
+        std::vector<int64_t> users(static_cast<size_t>(snapshot->num_users()));
+        std::iota(users.begin(), users.end(), 0);
+        const std::string input = std::string("precision ") +
+                                  SnapshotPrecisionName(precision) +
+                                  ", dim " + std::to_string(dim) + ", " +
+                                  std::to_string(snapshot->num_items()) +
+                                  " items";
+        pool.SetNumThreads(1);
+        const TopKResult t1 = TopKForUsers(*snapshot, users, options);
+        pool.SetNumThreads(4);
+        const TopKResult t4 = TopKForUsers(*snapshot, users, options);
+        pool.SetNumThreads(1);
+        const simd::Backend prev =
+            simd::internal::SetBackendForTesting(simd::Backend::kScalar);
+        const TopKResult scalar = TopKForUsers(*snapshot, users, options);
+        simd::internal::SetBackendForTesting(prev);
+        EXPECT_TRUE(SameResult(t1, t4)) << "threads 1 vs 4, " << input;
+        EXPECT_TRUE(SameResult(t1, scalar)) << "vector vs scalar, " << input;
+        EXPECT_TRUE(SameResult(t1, ReferenceTopK(*snapshot, users, options)))
+            << "TopKForUsers vs Score + SelectTopK, " << input;
+      }
     }
   }
   pool.SetNumThreads(previous);

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/model_snapshot.h"
+#include "tensor/simd.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace msopds {
@@ -158,6 +164,89 @@ TEST(TopKForUsersTest, DuplicateScoresOrderedByItemIdAcrossTiles) {
   }
 }
 
+// Runs TopKForUsers over every user of `snapshot` at 1, 2 and 4 kernel
+// threads and on the forced scalar backend, and checks each run bit for
+// bit against Score() + SelectTopK per user.
+void ExpectEveryRunMatchesScoreAndSelectTopK(const ModelSnapshot& snapshot,
+                                             const TopKOptions& options,
+                                             const std::string& input) {
+  std::vector<int64_t> users;
+  std::vector<std::vector<ScoredItem>> reference;
+  for (int64_t u = 0; u < snapshot.num_users(); ++u) {
+    std::vector<double> scores;
+    for (int64_t i = 0; i < snapshot.num_items(); ++i) {
+      scores.push_back(snapshot.Score(u, i));
+    }
+    users.push_back(u);
+    reference.push_back(SelectTopK(scores.data(), snapshot.num_items(),
+                                   options.k, snapshot.seen().Row(u),
+                                   snapshot.seen().RowSize(u)));
+  }
+  ThreadPool& pool = ThreadPool::Global();
+  const int previous = pool.num_threads();
+  std::vector<std::pair<std::string, TopKResult>> runs;
+  for (const int threads : {1, 2, 4}) {
+    pool.SetNumThreads(threads);
+    runs.emplace_back("threads " + std::to_string(threads),
+                      TopKForUsers(snapshot, users, options));
+  }
+  pool.SetNumThreads(1);
+  const simd::Backend backend =
+      simd::internal::SetBackendForTesting(simd::Backend::kScalar);
+  runs.emplace_back("scalar backend", TopKForUsers(snapshot, users, options));
+  simd::internal::SetBackendForTesting(backend);
+  pool.SetNumThreads(previous);
+
+  for (const auto& [run, result] : runs) {
+    for (int64_t u = 0; u < snapshot.num_users(); ++u) {
+      const std::vector<ScoredItem>& want = reference[static_cast<size_t>(u)];
+      ASSERT_EQ(result.counts[u], static_cast<int64_t>(want.size()))
+          << input << ", " << run << ", user " << u;
+      for (size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(result.ItemsForUser(u)[r], want[r].item)
+            << input << ", " << run << ", user " << u << " rank " << r;
+        EXPECT_EQ(std::bit_cast<uint64_t>(result.ScoresForUser(u)[r]),
+                  std::bit_cast<uint64_t>(want[r].score))
+            << input << ", " << run << ", user " << u << " rank " << r;
+      }
+    }
+  }
+}
+
+// A catalogue of two full 4,096-item blocks and a remainder, with both
+// biases and an offset. Items 0, 255, 256, 4095, 4096 and the last one
+// (tile and block edges) carry a large bias, so they top every list in
+// which they are not seen; odd users have seen them.
+std::shared_ptr<const ModelSnapshot> MultiBlockSnapshot(int64_t dim) {
+  const int64_t num_users = 11, num_items = 9001;
+  const std::vector<int64_t> edges = {0, 255, 256, 4095, 4096, num_items - 1};
+  Rng rng(static_cast<uint64_t>(dim));
+  std::vector<double> user_factors(static_cast<size_t>(num_users * dim));
+  std::vector<double> item_factors(static_cast<size_t>(num_items * dim));
+  std::vector<double> user_bias(static_cast<size_t>(num_users));
+  std::vector<double> item_bias(static_cast<size_t>(num_items));
+  for (double& v : user_factors) v = rng.Normal();
+  for (double& v : item_factors) v = rng.Normal();
+  for (double& v : user_bias) v = rng.Normal() * 0.1;
+  for (double& v : item_bias) v = rng.Normal() * 0.1;
+  for (const int64_t item : edges) item_bias[static_cast<size_t>(item)] += 1e3;
+  std::vector<Rating> seen;
+  for (int64_t u = 0; u < num_users; ++u) {
+    if (u % 2 == 1) {
+      for (const int64_t item : edges) seen.push_back({u, item, 4.0});
+    }
+    for (int64_t i = u * 7 + 1; i < num_items; i += 613) {
+      seen.push_back({u, i, 3.0});
+    }
+  }
+  return std::make_shared<const ModelSnapshot>(
+      num_users, num_items, dim, std::move(user_factors),
+      std::move(item_factors), std::move(user_bias), std::move(item_bias),
+      /*offset=*/0.375,
+      SeenItemsCsr::FromRatings(num_users, num_items, seen),
+      SnapshotOptions{});
+}
+
 TEST(TopKForUsersTest, MatchesSelectTopKAndIsThreadCountInvariant) {
   const int64_t num_users = 37, num_items = 801;
   std::vector<double> user_factors, item_factors;
@@ -174,37 +263,16 @@ TEST(TopKForUsersTest, MatchesSelectTopKAndIsThreadCountInvariant) {
   }
   auto snapshot = TinySnapshot(num_users, num_items, user_factors,
                                item_factors, seen);
-  std::vector<int64_t> users;
-  for (int64_t u = 0; u < num_users; ++u) users.push_back(u);
   TopKOptions options;
   options.k = 12;
+  ExpectEveryRunMatchesScoreAndSelectTopK(*snapshot, options,
+                                          "dim 1, 801 items");
 
-  ThreadPool& pool = ThreadPool::Global();
-  const int previous = pool.num_threads();
-  pool.SetNumThreads(1);
-  const TopKResult serial = TopKForUsers(*snapshot, users, options);
-  pool.SetNumThreads(4);
-  const TopKResult parallel = TopKForUsers(*snapshot, users, options);
-  pool.SetNumThreads(previous);
-
-  EXPECT_EQ(serial.items, parallel.items);
-  EXPECT_EQ(serial.scores, parallel.scores);
-  EXPECT_EQ(serial.counts, parallel.counts);
-
-  // And both agree with the scalar reference selection per user.
-  for (int64_t u = 0; u < num_users; ++u) {
-    std::vector<double> scores;
-    for (int64_t i = 0; i < num_items; ++i) {
-      scores.push_back(snapshot->Score(u, i));
-    }
-    const std::vector<ScoredItem> reference = SelectTopK(
-        scores.data(), num_items, options.k, snapshot->seen().Row(u),
-        snapshot->seen().RowSize(u));
-    ASSERT_EQ(serial.counts[u], static_cast<int64_t>(reference.size()));
-    for (size_t r = 0; r < reference.size(); ++r) {
-      EXPECT_EQ(serial.ItemsForUser(u)[r], reference[r].item);
-      EXPECT_EQ(serial.ScoresForUser(u)[r], reference[r].score);
-    }
+  // Blocks of the catalogue, RowDots' four-wide body, biases, offset.
+  for (const int64_t dim : {int64_t{8}, int64_t{32}}) {
+    ExpectEveryRunMatchesScoreAndSelectTopK(
+        *MultiBlockSnapshot(dim), options,
+        "dim " + std::to_string(dim) + ", 9001 items");
   }
 }
 

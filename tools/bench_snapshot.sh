@@ -14,9 +14,11 @@
 #   tools/bench_snapshot.sh --quick   fewer repetitions (sanity runs;
 #                                     don't commit the numbers)
 #
-# The JSON records the probed backend and machine facts alongside each
-# pair, so a committed snapshot says what it was measured on. Re-run on
-# the reference machine and commit the diff when the kernels change.
+# Each JSON file's header records what it was measured on (bench_util.h
+# WriteMachineFields): the probed SIMD backend, the online CPU count, the
+# CPU model, the compiler and the build type. The commit that lands a
+# regenerated file is its provenance. Re-run on the reference machine and
+# commit the diff when the kernels change.
 set -eu
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
