@@ -1,8 +1,10 @@
 #ifndef MSOPDS_BENCH_BENCH_UTIL_H_
 #define MSOPDS_BENCH_BENCH_UTIL_H_
 
-// Shared flag declarations, table formatting and the one sweep driver of
-// the paper benches (table3, fig6-fig9). Every table/figure binary
+// What several benches share: the JSON table helpers (WriteJsonFile,
+// WriteMachineFields, RepStats), and the flag declarations, table
+// formatting and one sweep driver of the paper benches (table3,
+// fig6-fig9, and ext_moderation's game flags). Every table/figure binary
 // accepts (util/flags; a malformed or out-of-range value exits 2, naming
 // the flag):
 //   --scale=F      synthetic dataset scale in [0.002, 100] (default 0.12;
@@ -59,11 +61,8 @@
 #include "core/experiment.h"
 #include "data/synthetic.h"
 #include "scale/orchestrator.h"
-#include "serve/engine.h"
 #include "tensor/simd.h"
-#include "util/arena.h"
 #include "util/checkpoint.h"
-#include "util/determinism_lint.h"
 #include "util/fault.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
@@ -98,140 +97,6 @@ inline bool WriteJsonFile(const std::string& path,
   return out.good();
 }
 
-/// Process-lifetime peak resident set in bytes (VmHWM from
-/// /proc/self/status, reported by the kernel in kB). Returns 0 where
-/// procfs is unavailable — the portable fallback — so callers must treat
-/// 0 as "unknown", never as "tiny".
-inline int64_t PeakRssBytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::atoll(line.c_str() + 6) * 1024;
-    }
-  }
-  return 0;
-}
-
-/// Resets the kernel's peak-RSS watermark (Linux: "5" into
-/// /proc/self/clear_refs) so a bench can attribute peaks to phases —
-/// scale_bench splits ingest from training this way. Returns false where
-/// the platform does not support it; callers then report one
-/// whole-process peak instead of per-phase peaks.
-inline bool ResetPeakRss() {
-  std::ofstream clear_refs("/proc/self/clear_refs");
-  if (!clear_refs.is_open()) return false;
-  clear_refs << "5";
-  clear_refs.flush();
-  return clear_refs.good();
-}
-
-/// Point-in-time memory snapshot: process peak RSS (PeakRssBytes; 0
-/// where procfs is unavailable) plus the tensor arena's counters.
-/// Sample() at the end of a bench to report how much memory the run
-/// actually touched alongside the arena's own accounting of live /
-/// cached / high-water tape bytes.
-struct MemStats {
-  int64_t peak_rss_kb = 0;
-  ArenaStats arena;
-
-  static MemStats Sample() {
-    MemStats stats;
-    stats.arena = Arena::Global().stats();
-    stats.peak_rss_kb = PeakRssBytes() / 1024;
-    return stats;
-  }
-};
-
-/// One BENCH_scale.json row: synthetic dataset size × shard count, with
-/// the ingest and training phases' wall time and peak RSS reported
-/// separately (each phase runs in its own process).
-struct ScaleRowStats {
-  int64_t num_users = 0;
-  int64_t num_items = 0;
-  int64_t num_ratings = 0;
-  /// Shards the dataset was ingested into; 1 is the in-memory case.
-  int64_t num_shards = 0;
-  double ingest_seconds = 0.0;
-  double train_seconds = 0.0;
-  int64_t ingest_peak_rss_bytes = 0;
-  int64_t train_peak_rss_bytes = 0;
-  /// Largest single shard file; the out-of-core working-set bound.
-  int64_t peak_shard_bytes = 0;
-  double final_loss = 0.0;
-};
-
-/// Emits one scale-trajectory row into the current JSON object. Call
-/// between Key/Value pairs of an open object, like WriteRobustnessFields.
-inline void WriteScaleFields(JsonWriter* json, const ScaleRowStats& row) {
-  json->Key("users").Int(row.num_users);
-  json->Key("items").Int(row.num_items);
-  json->Key("ratings").Int(row.num_ratings);
-  json->Key("shards").Int(row.num_shards);
-  json->Key("ingest_seconds").Double(row.ingest_seconds);
-  json->Key("train_seconds").Double(row.train_seconds);
-  json->Key("ingest_peak_rss_bytes").Int(row.ingest_peak_rss_bytes);
-  json->Key("train_peak_rss_bytes").Int(row.train_peak_rss_bytes);
-  json->Key("peak_shard_bytes").Int(row.peak_shard_bytes);
-  json->Key("final_loss").Double(row.final_loss);
-}
-
-/// Static-analysis posture the bench numbers were produced under: the
-/// determinism linter's counts over the source tree this binary was
-/// built from (DESIGN.md §13), and whether the Clang thread-safety
-/// annotations were active in this build. Benches record it in their
-/// JSON headers the same way they record thread counts and fault
-/// plans, so a result file carries the hygiene of its build.
-struct StaticCheckStats {
-  /// False when the build does not know its source root (or the tree
-  /// moved): the lint_* fields are then meaningless zeros.
-  bool sampled = false;
-  int64_t lint_files = 0;
-  int64_t lint_checks = 0;
-  int64_t lint_findings = 0;
-  /// True when util/sync.h's annotations expand to real Clang
-  /// attributes in this translation unit (Clang builds), i.e. a
-  /// -Wthread-safety pass over this build would be enforceable.
-  bool thread_safety_annotations = false;
-
-  static StaticCheckStats Sample() {
-    StaticCheckStats stats;
-#if defined(__clang__) && defined(__has_attribute)
-#if __has_attribute(capability)
-    stats.thread_safety_annotations = true;
-#endif
-#endif
-#ifdef MSOPDS_SOURCE_ROOT
-    const std::filesystem::path src =
-        std::filesystem::path(MSOPDS_SOURCE_ROOT) / "src";
-    std::error_code ec;
-    if (std::filesystem::is_directory(src, ec)) {
-      const LintReport report = RunDeterminismLint(src.string());
-      stats.sampled = true;
-      stats.lint_files = report.files_scanned;
-      stats.lint_checks = report.checks_run;
-      stats.lint_findings = static_cast<int64_t>(report.findings.size());
-    }
-#endif
-    return stats;
-  }
-};
-
-/// Emits one "static_checks" object into the current JSON object.
-/// Call between Key/Value pairs of an open object, like
-/// WriteRobustnessFields.
-inline void WriteStaticChecksFields(JsonWriter* json,
-                                    const StaticCheckStats& stats) {
-  json->Key("static_checks").BeginObject();
-  json->Key("sampled").Bool(stats.sampled);
-  json->Key("lint_files").Int(stats.lint_files);
-  json->Key("lint_checks").Int(stats.lint_checks);
-  json->Key("lint_findings").Int(stats.lint_findings);
-  json->Key("lint_clean").Bool(stats.sampled && stats.lint_findings == 0);
-  json->Key("thread_safety_annotations").Bool(stats.thread_safety_annotations);
-  json->EndObject();
-}
-
 /// The "model name" line of /proc/cpuinfo, or "unknown" where there is
 /// none (non-Linux hosts, some ARM kernels).
 inline std::string CpuModelName() {
@@ -264,29 +129,6 @@ inline void WriteMachineFields(JsonWriter* json) {
   json->Key("compiler").String(std::string("g++ ") + __VERSION__);
 #endif
   json->Key("build_type").String(MSOPDS_BUILD_TYPE);
-}
-
-/// Emits the serving engine's robustness counters (plus client-side
-/// retry totals) into the current JSON object, so BENCH_serving.json
-/// rows track the shed/reject/degraded trajectory the same way the perf
-/// tables track latency. `precision` is the snapshot storage mode the
-/// run published ("fp64" / "int8"), so quantized rows are
-/// distinguishable from full-precision ones. Call between Key/Value
-/// pairs of an open object.
-inline void WriteRobustnessFields(JsonWriter* json,
-                                  const serve::EngineStats& stats,
-                                  int64_t retries,
-                                  const std::string& precision = "fp64") {
-  json->Key("precision").String(precision);
-  json->Key("admitted").Int(stats.admitted);
-  json->Key("rejected").Int(stats.rejected);
-  json->Key("shed").Int(stats.shed);
-  json->Key("degraded").Int(stats.degraded);
-  json->Key("cancelled").Int(stats.cancelled);
-  json->Key("retries").Int(retries);
-  json->Key("deadline_misses").Int(stats.deadline_misses);
-  json->Key("max_queue_depth").Int(stats.max_queue_depth);
-  json->Key("publish_failures").Int(stats.publish_failures);
 }
 
 /// Summary of one benchmark cell's repetitions. The committed speedup

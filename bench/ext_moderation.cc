@@ -12,7 +12,6 @@
 // users and graph links — retains far more.
 
 #include "bench/bench_util.h"
-#include "core/bopds.h"
 #include "defense/fake_detector.h"
 #include "recsys/metrics.h"
 #include "recsys/trainer.h"
@@ -25,41 +24,17 @@ struct ModeratedResult {
   double rbar_after = 0.0;
 };
 
-ModeratedResult RunModeratedGame(const Dataset& base,
-                                 const GameConfig& game_config,
+// One game through the multiplayer protocol's poisoning half
+// (MultiplayerGame::Poison), then the victim trained on the poisoned
+// world and again on the moderated one, each from its own seed.
+ModeratedResult RunModeratedGame(const MultiplayerGame& game,
                                  const std::string& method, int budget_level,
                                  uint64_t seed) {
-  Rng rng(seed);
-  GameContext context;
-  context.base = &base;
-  context.demos = SampleDemographics(base, 1 + game_config.num_opponents,
-                                     &rng);
-  context.config = game_config;
-  context.attacker_budget = AttackBudget::FromLevel(budget_level, base);
-
-  Dataset world = base;
-  auto attack = MakeAttackFactory(method)(context);
-  Rng attacker_rng = rng.Split();
-  attack->Execute(&world, context.demos[0], context.attacker_budget,
-                  &attacker_rng);
-  for (int q = 0; q < game_config.num_opponents; ++q) {
-    BopdsConfig opponent_config;
-    opponent_config.pds = game_config.opponent_pds;
-    opponent_config.step = game_config.opponent_step;
-    opponent_config.iterations = game_config.opponent_iterations;
-    opponent_config.comprehensive = false;
-    opponent_config.demote = true;
-    opponent_config.preset_rating = kMinRating;
-    Bopds opponent(opponent_config);
-    AttackBudget opponent_budget = AttackBudget::FromLevel(
-        game_config.opponent_budget_level, world);
-    opponent_budget.promote_rating = kMinRating;
-    Rng opponent_rng = rng.Split();
-    opponent.Execute(&world, context.demos[static_cast<size_t>(q + 1)],
-                     opponent_budget, &opponent_rng);
-  }
-
-  const Demographics& market = context.demos[0];
+  const PoisonedWorld poisoned =
+      game.Poison(MakeAttackFactory(method), budget_level, seed);
+  const Dataset& world = poisoned.data;
+  const GameConfig& game_config = game.config();
+  const Demographics& market = poisoned.context.demos[0];
   ModeratedResult result;
   {
     Rng victim_rng(seed + 1000);
@@ -71,7 +46,7 @@ ModeratedResult RunModeratedGame(const Dataset& base,
 
   // Moderation: flag as many accounts as the attacker injected fakes
   // (a budget-matched moderator), remove them, retrain.
-  const int64_t flag_count = context.attacker_budget.num_fake_users;
+  const int64_t flag_count = poisoned.context.attacker_budget.num_fake_users;
   const std::vector<int64_t> flagged = DetectFakeUsers(world, flag_count);
   std::vector<int64_t> id_map;
   const Dataset moderated = RemoveUsers(world, flagged, &id_map);
@@ -117,18 +92,18 @@ int Main(int argc, char** argv) {
       flags.scale);
 
   for (const std::string& dataset_name : flags.datasets) {
-    const Dataset base =
-        MakeExperimentDataset(dataset_name, flags.scale, flags.seed);
-    std::printf("\n[%s] %s\n", dataset_name.c_str(), base.Summary().c_str());
+    const MultiplayerGame game(
+        MakeExperimentDataset(dataset_name, flags.scale, flags.seed),
+        DefaultGameConfig());
+    std::printf("\n[%s] %s\n", dataset_name.c_str(),
+                game.base().Summary().c_str());
     std::printf("%-14s %10s %10s %10s\n", "method", "rbar", "moderated",
                 "retained");
-    const GameConfig game_config = DefaultGameConfig();
     for (const std::string& method : flags.methods) {
       double before = 0.0, after = 0.0;
       for (int r = 0; r < flags.repeats; ++r) {
         const ModeratedResult result = RunModeratedGame(
-            base, game_config, method, budget,
-            flags.seed + 1 + static_cast<uint64_t>(r));
+            game, method, budget, flags.seed + 1 + static_cast<uint64_t>(r));
         before += result.rbar_before;
         after += result.rbar_after;
       }

@@ -4,7 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/parallel_bench.h"
+#include "bench/ab_bench.h"
 #include "solver/conjugate_gradient.h"
 #include "tensor/grad.h"
 #include "tensor/ops.h"
@@ -103,13 +103,13 @@ void BM_DoubleBackwardUnrolledStep(benchmark::State& state) {
 }
 BENCHMARK(BM_DoubleBackwardUnrolledStep)->Arg(64)->Arg(512);
 
-// --- Serial-vs-parallel comparison cases (bench/parallel_bench.h). ---
-// Each runs at threads:1 and threads:N over identical inputs; the main
-// pairs the rows into the BENCH_parallel.json speedup table. Sizes are
-// chosen so every kernel spans several chunks of the fixed grid.
+// --- Serial-vs-parallel pairs (bench/ab_bench.h). ---
+// Each runs at threads:1 and threads:4 over identical inputs; the main
+// pairs the rows in BENCH_micro_autodiff.json. Sizes are chosen so every
+// kernel spans several chunks of the fixed grid.
 
 void BM_MatMulForwardParallel(benchmark::State& state) {
-  bench::SetThreadsFromState(state);
+  const bench::ScopedCaseThreads threads(state);
   const int64_t n = state.range(0);
   Rng rng(11);
   Variable a = Constant(RandomTensor({n, n}, &rng));
@@ -121,11 +121,11 @@ void BM_MatMulForwardParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulForwardParallel)
     ->Apply([](benchmark::internal::Benchmark* b) {
-      bench::ParallelArgs(b, {128, 256});
+      bench::ThreadPairs(b, {128, 256});
     });
 
 void BM_MatMulBackwardParallel(benchmark::State& state) {
-  bench::SetThreadsFromState(state);
+  const bench::ScopedCaseThreads threads(state);
   const int64_t n = state.range(0);
   Rng rng(12);
   Variable a = Param(RandomTensor({n, n}, &rng));
@@ -137,11 +137,11 @@ void BM_MatMulBackwardParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulBackwardParallel)
     ->Apply([](benchmark::internal::Benchmark* b) {
-      bench::ParallelArgs(b, {128, 256});
+      bench::ThreadPairs(b, {128, 256});
     });
 
 void BM_SpMMParallel(benchmark::State& state) {
-  bench::SetThreadsFromState(state);
+  const bench::ScopedCaseThreads threads(state);
   const int64_t nodes = state.range(0);
   const int64_t edges = nodes * 10;
   const int64_t dim = 8;
@@ -163,11 +163,11 @@ void BM_SpMMParallel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * edges * dim);
 }
 BENCHMARK(BM_SpMMParallel)->Apply([](benchmark::internal::Benchmark* b) {
-  bench::ParallelArgs(b, {2048, 8192});
+  bench::ThreadPairs(b, {2048, 8192});
 });
 
 void BM_SegmentSoftmaxParallel(benchmark::State& state) {
-  bench::SetThreadsFromState(state);
+  const bench::ScopedCaseThreads threads(state);
   const int64_t nodes = state.range(0);
   const int64_t edges = nodes * 8;
   Rng rng(14);
@@ -182,12 +182,10 @@ void BM_SegmentSoftmaxParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentSoftmaxParallel)
     ->Apply([](benchmark::internal::Benchmark* b) {
-      bench::ParallelArgs(b, {4096});
+      bench::ThreadPairs(b, {4096});
     });
 
-// --- Memory-profile cases (collected into BENCH_memory.json). ---
-// Counters prefixed "mem_" are picked up by SpeedupReporter and written
-// alongside a process MemStats sample (see bench/parallel_bench.h).
+// --- Arena off/on pairs; each side's "mem_" counters ride in its row. ---
 
 void BM_MemTrainStepAllocs(benchmark::State& state) {
   // Heap allocations per autodiff training step with the arena off
@@ -214,7 +212,6 @@ void BM_MemTrainStepAllocs(benchmark::State& state) {
   }
   const ArenaStats stats = arena.stats();
   const double denom = steps > 0 ? static_cast<double>(steps) : 1.0;
-  state.counters["mem_arena_on"] = arena_on ? 1.0 : 0.0;
   state.counters["mem_allocs_per_step"] =
       static_cast<double>(stats.alloc_calls) / denom;
   state.counters["mem_heap_allocs_per_step"] =
@@ -257,4 +254,4 @@ BENCHMARK(BM_ConjugateGradientSolve)->Arg(64)->Arg(256);
 }  // namespace
 }  // namespace msopds
 
-MSOPDS_PARALLEL_BENCH_MAIN("BENCH_parallel.json", "BENCH_memory.json");
+MSOPDS_AB_BENCH_MAIN("BENCH_micro_autodiff.json");

@@ -5,7 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/parallel_bench.h"
+#include "bench/ab_bench.h"
 
 #include "attack/baselines.h"
 #include "core/losses.h"
@@ -134,10 +134,10 @@ BENCHMARK(BM_MsoLeaderIteration)->Arg(100)->Arg(200);
 
 // Serial-vs-parallel comparison of a full victim training epoch (the
 // end-to-end path every sweep cell spends most of its time in); rows
-// pair into BENCH_parallel_recsys.json. Results are bit-identical at
+// pair in BENCH_micro_recsys.json. Results are bit-identical at
 // either thread count — only the wall time may differ.
 void BM_VictimTrainingEpochParallel(benchmark::State& state) {
-  bench::SetThreadsFromState(state);
+  const bench::ScopedCaseThreads threads(state);
   World world(state.range(0));
   Rng rng(11);
   HetRecSys model(world.dataset, HetRecSysConfig{}, &rng);
@@ -152,10 +152,10 @@ void BM_VictimTrainingEpochParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_VictimTrainingEpochParallel)
     ->Apply([](benchmark::internal::Benchmark* b) {
-      bench::ParallelArgs(b, {300});
+      bench::ThreadPairs(b, {300});
     });
 
-// --- Memory-profile cases (collected into BENCH_memory_recsys.json). ---
+// --- Arena off/on pairs; each side's "mem_" counters ride in its row. ---
 
 void BM_MemVictimEpochAllocs(benchmark::State& state) {
   // Heap allocations per victim training epoch with the arena off
@@ -182,7 +182,6 @@ void BM_MemVictimEpochAllocs(benchmark::State& state) {
   }
   const ArenaStats stats = arena.stats();
   const double denom = epochs > 0 ? static_cast<double>(epochs) : 1.0;
-  state.counters["mem_arena_on"] = arena_on ? 1.0 : 0.0;
   state.counters["mem_allocs_per_step"] =
       static_cast<double>(stats.alloc_calls) / denom;
   state.counters["mem_heap_allocs_per_step"] =
@@ -245,5 +244,4 @@ BENCHMARK(BM_StepRatioAblation)->Arg(2)->Arg(10)->Arg(50);
 }  // namespace
 }  // namespace msopds
 
-MSOPDS_PARALLEL_BENCH_MAIN("BENCH_parallel_recsys.json",
-                           "BENCH_memory_recsys.json");
+MSOPDS_AB_BENCH_MAIN("BENCH_micro_recsys.json");

@@ -280,7 +280,6 @@ int Main(int argc, char** argv) {
   json.Key("reps").Int(flags.reps);
   json.Key("sample_users").Int(sample);
   WriteMachineFields(&json);
-  WriteStaticChecksFields(&json, StaticCheckStats::Sample());
   json.Key("cases").BeginArray();
   for (const PrecisionRow& row : rows) {
     json.BeginObject();

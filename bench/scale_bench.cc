@@ -88,6 +88,20 @@ struct ScaleBenchFlags {
   }
 };
 
+/// Process-lifetime peak resident set in bytes (VmHWM from
+/// /proc/self/status, reported by the kernel in kB). Returns 0 where
+/// procfs is unavailable, so 0 reads as "unknown", never as "tiny".
+int64_t PeakRssBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::atoll(line.c_str() + 6) * 1024;
+    }
+  }
+  return 0;
+}
+
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -261,7 +275,14 @@ int MasterMain(const ScaleBenchFlags& flags, const char* argv0) {
 
   const int64_t shard_counts[] = {1, 4, 16};
 
-  std::vector<ScaleRowStats> rows;
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("ratings_per_user").Int(flags.ratings_per_user);
+  json.Key("epochs").Int(flags.epochs);
+  json.Key("dim").Int(flags.dim);
+  json.Key("seed").Int(static_cast<int64_t>(flags.seed));
+  json.Key("rows").BeginArray();
+  int rows = 0;
   std::printf("%10s %7s %10s %10s %14s %14s %14s\n", "users", "shards",
               "ingest_s", "train_s", "ingest_rss_mb", "train_rss_mb",
               "shard_mb");
@@ -302,49 +323,41 @@ int MasterMain(const ScaleBenchFlags& flags, const char* argv0) {
         return 1;
       }
 
-      ScaleRowStats row;
-      row.num_users = static_cast<int64_t>(ingest.values.at("num_users"));
-      row.num_items = static_cast<int64_t>(ingest.values.at("num_items"));
-      row.num_ratings = static_cast<int64_t>(ingest.values.at("num_ratings"));
-      row.num_shards = shards;
-      row.ingest_seconds = ingest.values.at("seconds");
-      row.train_seconds = train.values.at("seconds");
-      row.ingest_peak_rss_bytes =
-          static_cast<int64_t>(ingest.values.at("peak_rss_bytes"));
-      row.train_peak_rss_bytes =
-          static_cast<int64_t>(train.values.at("peak_rss_bytes"));
-      row.peak_shard_bytes =
-          static_cast<int64_t>(train.values.at("peak_shard_bytes"));
-      row.final_loss = train.values.at("final_loss");
-      rows.push_back(row);
+      const auto ingest_value = [&ingest](const char* key) {
+        return static_cast<int64_t>(ingest.values.at(key));
+      };
+      const auto train_value = [&train](const char* key) {
+        return static_cast<int64_t>(train.values.at(key));
+      };
+      json.BeginObject();
+      json.Key("users").Int(ingest_value("num_users"));
+      json.Key("items").Int(ingest_value("num_items"));
+      json.Key("ratings").Int(ingest_value("num_ratings"));
+      json.Key("shards").Int(shards);
+      json.Key("ingest_seconds").Double(ingest.values.at("seconds"));
+      json.Key("train_seconds").Double(train.values.at("seconds"));
+      json.Key("ingest_peak_rss_bytes").Int(ingest_value("peak_rss_bytes"));
+      json.Key("train_peak_rss_bytes").Int(train_value("peak_rss_bytes"));
+      json.Key("peak_shard_bytes").Int(train_value("peak_shard_bytes"));
+      json.Key("final_loss").Double(train.values.at("final_loss"));
+      json.EndObject();
+      ++rows;
+      constexpr double kMb = 1 << 20;
       std::printf("%10lld %7lld %10.2f %10.2f %14.1f %14.1f %14.1f\n",
-                  static_cast<long long>(row.num_users),
-                  static_cast<long long>(row.num_shards), row.ingest_seconds,
-                  row.train_seconds,
-                  static_cast<double>(row.ingest_peak_rss_bytes) / (1 << 20),
-                  static_cast<double>(row.train_peak_rss_bytes) / (1 << 20),
-                  static_cast<double>(row.peak_shard_bytes) / (1 << 20));
+                  static_cast<long long>(ingest_value("num_users")),
+                  static_cast<long long>(shards),
+                  ingest.values.at("seconds"), train.values.at("seconds"),
+                  ingest.values.at("peak_rss_bytes") / kMb,
+                  train.values.at("peak_rss_bytes") / kMb,
+                  train.values.at("peak_shard_bytes") / kMb);
       std::fflush(stdout);
     }
   }
 
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("ratings_per_user").Int(flags.ratings_per_user);
-  json.Key("epochs").Int(flags.epochs);
-  json.Key("dim").Int(flags.dim);
-  json.Key("seed").Int(static_cast<int64_t>(flags.seed));
-  WriteStaticChecksFields(&json, StaticCheckStats::Sample());
-  json.Key("rows").BeginArray();
-  for (const ScaleRowStats& row : rows) {
-    json.BeginObject();
-    WriteScaleFields(&json, row);
-    json.EndObject();
-  }
   json.EndArray();
   json.EndObject();
   if (!WriteJsonFile(flags.json_out, json.TakeString())) return 1;
-  std::printf("wrote %s (%zu rows)\n", flags.json_out.c_str(), rows.size());
+  std::printf("wrote %s (%d rows)\n", flags.json_out.c_str(), rows);
 
   if (!flags.keep_work_dir && flags.work_dir.empty()) {
     std::filesystem::remove_all(work);

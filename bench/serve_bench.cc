@@ -437,7 +437,6 @@ void WriteTable(const ServeBenchFlags& flags,
   json.Key("fault_batch_delay").Double(flags.fault_batch_delay);
   json.Key("fault_batch_delay_us").Int(flags.fault_batch_delay_us);
   json.Key("swap_ms").Int(flags.swap_ms);
-  WriteStaticChecksFields(&json, StaticCheckStats::Sample());
   json.Key("cases").BeginArray();
   for (const RowResult& row : rows) {
     json.BeginObject();
@@ -453,8 +452,18 @@ void WriteTable(const ServeBenchFlags& flags,
     json.Key("batches").Int(row.stats.batches);
     json.Key("mean_batch_size").Double(row.stats.mean_batch_size);
     json.Key("publishes").Int(row.stats.publishes);
-    WriteRobustnessFields(&json, row.stats, row.retries,
-                          flags.precision);
+    // Robustness counters: the shed/reject/degraded trajectory, beside
+    // the latency columns.
+    json.Key("precision").String(flags.precision);
+    json.Key("admitted").Int(row.stats.admitted);
+    json.Key("rejected").Int(row.stats.rejected);
+    json.Key("shed").Int(row.stats.shed);
+    json.Key("degraded").Int(row.stats.degraded);
+    json.Key("cancelled").Int(row.stats.cancelled);
+    json.Key("retries").Int(row.retries);
+    json.Key("deadline_misses").Int(row.stats.deadline_misses);
+    json.Key("max_queue_depth").Int(row.stats.max_queue_depth);
+    json.Key("publish_failures").Int(row.stats.publish_failures);
     json.EndObject();
   }
   json.EndArray();

@@ -1,29 +1,25 @@
 // Scalar-vs-SIMD A/B benches (DESIGN.md §14).
 //
-// Every case runs twice over identical inputs at one kernel thread:
-// once with the scalar reference backend forced and once on the probed
-// vector backend ("/simd:0" vs "/simd:1"). The kernels are bit-identical
-// across backends, so the pairs measure pure speed, never accuracy.
-// After the console output the main pairs the rows and writes
-// tools/bench_snapshot.sh's BENCH_simd.json speedup table (machine info
-// + one entry per pair).
+// Every case runs twice over identical inputs, calling the kernels
+// directly on the benchmark's thread: once with the scalar reference
+// backend forced and once on the probed vector backend ("/simd:0" vs
+// "/simd:1"). The kernels are bit-identical across backends, so the
+// pairs measure pure speed, never accuracy. After the console output
+// the main (bench/ab_bench.h) pairs the rows and writes BENCH_simd.json
+// in the working directory: machine info plus one entry per pair.
+// tools/bench_snapshot.sh commits it from the repo root.
 //
 // Seeds are pinned so the committed snapshot is reproducible.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <string>
+#include <algorithm>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/ab_bench.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
-#include "util/json_writer.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace msopds {
 namespace bench {
@@ -92,7 +88,6 @@ void BM_SimdMatMulForward(benchmark::State& state) {
   // The MatMul forward kernel in isolation (ops.cc). The op adds graph
   // and arena bookkeeping identical on both backends; this row measures
   // the kernel they differ in.
-  ThreadPool::Global().SetNumThreads(1);
   const int64_t n = state.range(0);
   ScopedBackend backend(state.range(1) != 0);
   Rng rng(1);
@@ -117,7 +112,6 @@ void BM_SimdMatMulBackward(benchmark::State& state) {
   // The two backward kernels in isolation (ops.cc): grad_a = g·Bᵀ via
   // MatMulNT's row kernel (simd::RowDots, one call per output row),
   // grad_b = Aᵀ·g via the MatMulTN fused accumulation kernel.
-  ThreadPool::Global().SetNumThreads(1);
   const int64_t n = state.range(0);
   ScopedBackend backend(state.range(1) != 0);
   Rng rng(2);
@@ -151,7 +145,6 @@ void BM_SimdSpMMRowAccumulate(benchmark::State& state) {
   // kernel does. Edges are grouped by destination as real rating lists
   // are. The op-level SpMM adds graph bookkeeping on top; this row
   // measures the kernel the backends actually differ in.
-  ThreadPool::Global().SetNumThreads(1);
   const int64_t nodes = state.range(0);
   const int64_t per_node = 40;
   const int64_t edges = nodes * per_node;
@@ -198,7 +191,6 @@ BENCHMARK(BM_SimdSpMMRowAccumulate)
     ->Args({256, 1});
 
 void BM_SimdElementwiseChain(benchmark::State& state) {
-  ThreadPool::Global().SetNumThreads(1);
   // L1-resident buffers: the chain measures lane throughput, not DRAM.
   const int64_t n = 1 << 12;
   ScopedBackend backend(state.range(0) != 0);
@@ -222,7 +214,6 @@ BENCHMARK(BM_SimdElementwiseChain)->ArgNames({"simd"})->Arg(0)->Arg(1);
 void BM_SimdServeScoreRow(benchmark::State& state) {
   // The fp64 serve-path dot: one user factor row against a tile of item
   // factor rows in one RowDots call (serve/model_snapshot.h ScoreItems).
-  ThreadPool::Global().SetNumThreads(1);
   const int64_t items = 512;
   const int64_t dim = 64;
   ScopedBackend backend(state.range(0) != 0);
@@ -239,76 +230,8 @@ void BM_SimdServeScoreRow(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdServeScoreRow)->ArgNames({"simd"})->Arg(0)->Arg(1);
 
-// --- A/B pairing reporter ---------------------------------------------------
-
-class AbReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& reports) override {
-    for (const Run& run : reports) {
-      if (run.run_type != Run::RT_Iteration) continue;
-      // Record every repetition; the table uses the minimum (the
-      // least-interfered-with measurement on a shared machine) for the
-      // committed ratios, and reports the per-cell median and spread
-      // alongside so one noisy repetition is visible in the JSON.
-      samples_[run.benchmark_name()].push_back(run.GetAdjustedRealTime());
-    }
-    benchmark::ConsoleReporter::ReportRuns(reports);
-  }
-
-  /// Pairs "<case>/simd:0" with "<case>/simd:1" (scalar vs probed
-  /// vector backend) and writes the speedup table. Returns the number of
-  /// pairs written.
-  int WriteTable(const std::string& path) const {
-    JsonWriter json;
-    json.BeginObject();
-    WriteMachineFields(&json);
-    json.Key("threads").Int(1);
-    WriteStaticChecksFields(&json, StaticCheckStats::Sample());
-    json.Key("cases").BeginArray();
-    int pairs = 0;
-    const std::string suffix = "/simd:0";
-    for (const auto& [name, baseline_samples] : samples_) {
-      if (!name.ends_with(suffix)) continue;
-      const auto variant = samples_.find(name.substr(0, name.size() - 1) + "1");
-      if (variant == samples_.end()) continue;
-      const RepStats baseline = RepStats::Of(baseline_samples);
-      const RepStats against = RepStats::Of(variant->second);
-      json.BeginObject();
-      json.Key("name").String(name.substr(0, name.size() - suffix.size()));
-      json.Key("kind").String("simd");
-      json.Key("baseline").String("scalar");
-      json.Key("variant").String(simd::BackendName());
-      WriteRepStatsFields(&json, "t_baseline", baseline);
-      WriteRepStatsFields(&json, "t_variant", against);
-      json.Key("speedup").Double(
-          against.min > 0.0 ? baseline.min / against.min : 0.0);
-      json.EndObject();
-      ++pairs;
-    }
-    json.EndArray();
-    json.EndObject();
-    if (!WriteJsonFile(path, json.TakeString())) return pairs;
-    std::fprintf(stderr, "[simd] wrote %d speedup pair(s) to %s\n", pairs,
-                 path.c_str());
-    return pairs;
-  }
-
- private:
-  // full case name -> adjusted wall time (ns) of every repetition.
-  std::map<std::string, std::vector<double>> samples_;
-};
-
 }  // namespace
 }  // namespace bench
 }  // namespace msopds
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::msopds::bench::AbReporter reporter;
-  ::benchmark::RunSpecifiedBenchmarks(&reporter);
-  const char* path = std::getenv("MSOPDS_BENCH_SIMD_JSON");
-  reporter.WriteTable(path != nullptr ? path : "BENCH_simd.json");
-  ::benchmark::Shutdown();
-  return 0;
-}
+MSOPDS_AB_BENCH_MAIN("BENCH_simd.json");

@@ -15,11 +15,11 @@ MultiplayerGame::MultiplayerGame(const Dataset& base, GameConfig config)
   MSOPDS_CHECK_GE(config_.num_opponents, 0);
 }
 
-GameResult MultiplayerGame::Run(const AttackFactory& attacker_factory,
-                                int budget_level, uint64_t seed) const {
-  Rng rng(seed);
-
-  GameContext context;
+PoisonedWorld MultiplayerGame::Poison(const AttackFactory& attacker_factory,
+                                      int budget_level, uint64_t seed) const {
+  PoisonedWorld poisoned{base_, {}, {}, Rng(seed)};
+  Rng& rng = poisoned.rng;
+  GameContext& context = poisoned.context;
   context.base = &base_;
   context.demos =
       SampleDemographics(base_, 1 + config_.num_opponents, &rng);
@@ -29,11 +29,11 @@ GameResult MultiplayerGame::Run(const AttackFactory& attacker_factory,
   std::unique_ptr<Attack> attacker = attacker_factory(context);
   MSOPDS_CHECK(attacker != nullptr);
 
-  GameResult result;
+  GameResult& result = poisoned.result;
   result.method = attacker->name();
 
   // 1) The attacker poisons first, seeing only the clean data.
-  Dataset world = base_;
+  Dataset& world = poisoned.data;
   Rng attacker_rng = rng.Split();
   result.attacker_plan = attacker->Execute(
       &world, context.demos[0], context.attacker_budget, &attacker_rng);
@@ -62,9 +62,17 @@ GameResult MultiplayerGame::Run(const AttackFactory& attacker_factory,
                          opponent_budget, &opponent_rng);
     result.opponent_ratings += plan.CountType(ActionType::kRating);
   }
+  return poisoned;
+}
+
+GameResult MultiplayerGame::Run(const AttackFactory& attacker_factory,
+                                int budget_level, uint64_t seed) const {
+  PoisonedWorld poisoned = Poison(attacker_factory, budget_level, seed);
+  const Dataset& world = poisoned.data;
+  GameResult result = std::move(poisoned.result);
 
   // 3) Train the victim Het-RecSys on the fully-poisoned records.
-  Rng victim_rng = rng.Split();
+  Rng victim_rng = poisoned.rng.Split();
   HetRecSys victim(world, config_.victim, &victim_rng);
   const TrainResult training =
       TrainModel(&victim, world.ratings, config_.victim_training);
@@ -76,7 +84,7 @@ GameResult MultiplayerGame::Run(const AttackFactory& attacker_factory,
   }
 
   // 4) The attacker's metrics on his market.
-  const Demographics& market = context.demos[0];
+  const Demographics& market = poisoned.context.demos[0];
   result.average_rating =
       AverageTargetRating(&victim, market.target_audience, market.target_item);
   result.hit_rate_at_3 = HitRateAtK(&victim, market.target_audience,

@@ -66,6 +66,18 @@ struct GameResult {
   std::string failure;
 };
 
+/// The poisoning half of one game (MultiplayerGame::Poison): the base
+/// data with the attacker's and every opponent's poison, the game's
+/// context, and the game's random stream where the victim's stream
+/// splits off next.
+struct PoisonedWorld {
+  Dataset data;
+  GameContext context;
+  /// `method`, `attacker_plan` and `opponent_ratings` filled in.
+  GameResult result;
+  Rng rng;
+};
+
 /// Runs the paper's evaluation protocol: the attacker poisons first given
 /// the clean data; each opponent then plans a (simplified, rating-only
 /// demotion) Comprehensive Attack by BOPDS given everything injected so
@@ -79,6 +91,12 @@ class MultiplayerGame {
   /// Deterministic given (factory behaviour, b, seed).
   GameResult Run(const AttackFactory& attacker_factory, int budget_level,
                  uint64_t seed) const;
+
+  /// The poisoning half of Run, with the same draws: the attacker
+  /// poisons, then each opponent reacts. Run trains the victim on the
+  /// result and measures it.
+  PoisonedWorld Poison(const AttackFactory& attacker_factory,
+                       int budget_level, uint64_t seed) const;
 
   const Dataset& base() const { return base_; }
   const GameConfig& config() const { return config_; }

@@ -101,6 +101,7 @@ serve::TopKResult TopKItems(RatingModel* model, const Dataset& dataset,
   MSOPDS_CHECK(model != nullptr);
   MSOPDS_CHECK_GT(options.k, 0);
   const int64_t num_items = dataset.num_items;
+  const int k = serve::TopKStride(options.k, num_items);
   const serve::SeenItemsCsr seen = serve::SeenItemsCsr::FromRatings(
       dataset.num_users, num_items, dataset.ratings);
 
@@ -119,11 +120,11 @@ serve::TopKResult TopKItems(RatingModel* model, const Dataset& dataset,
     const std::vector<int64_t> repeated(static_cast<size_t>(num_items), user);
     const Tensor scores = model->PredictPairs(repeated, catalog);
     per_user[a] = serve::SelectTopK(
-        scores.data(), num_items, options.k,
+        scores.data(), num_items, k,
         options.exclude_seen ? seen.Row(user) : nullptr,
         options.exclude_seen ? seen.RowSize(user) : 0);
   }
-  return serve::PackTopK(per_user, options.k);
+  return serve::PackTopK(per_user, k);
 }
 
 }  // namespace msopds

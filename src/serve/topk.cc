@@ -154,6 +154,8 @@ TopKResult TopKForUsers(const ModelSnapshot& snapshot,
   }
   const int64_t n = static_cast<int64_t>(users.size());
   const int64_t num_items = snapshot.num_items();
+  TopKOptions sized = options;
+  sized.k = TopKStride(options.k, num_items);
   const int64_t num_blocks = NumChunks(num_items, kItemBlock);
   // One best-first list per (block, user), block-major: each cell of the
   // grid writes the slots of its own users in its own block.
@@ -170,7 +172,7 @@ TopKResult TopKForUsers(const ModelSnapshot& snapshot,
               snapshot, users.data() + first_user,
               static_cast<size_t>(std::min(kUserGrain, n - first_user)),
               item_begin, std::min(item_begin + kItemBlock, num_items),
-              options,
+              sized,
               block_lists.data() + static_cast<size_t>(block * n + first_user));
         }
       });
@@ -178,7 +180,7 @@ TopKResult TopKForUsers(const ModelSnapshot& snapshot,
   // RanksBefore is a total order, so the best k of the blocks' winners
   // are the best k of the catalogue.
   std::vector<std::vector<ScoredItem>> per_user(static_cast<size_t>(n));
-  TopKSelector merged(options.k);
+  TopKSelector merged(sized.k);
   for (int64_t u = 0; u < n; ++u) {
     for (int64_t block = 0; block < num_blocks; ++block) {
       for (const ScoredItem& candidate :
@@ -188,7 +190,7 @@ TopKResult TopKForUsers(const ModelSnapshot& snapshot,
     }
     per_user[static_cast<size_t>(u)] = merged.Take();
   }
-  return PackTopK(per_user, options.k);
+  return PackTopK(per_user, sized.k);
 }
 
 }  // namespace serve

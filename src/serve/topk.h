@@ -1,6 +1,7 @@
 #ifndef MSOPDS_SERVE_TOPK_H_
 #define MSOPDS_SERVE_TOPK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -76,9 +77,19 @@ struct TopKOptions {
   bool exclude_seen = true;
 };
 
+/// The list stride of a top-`k` request over `num_items` items: k, but
+/// no more than the catalogue holds, and at least 1. No list is longer
+/// than the catalogue, so selecting and packing at this stride changes
+/// no list, and a huge k costs no more memory than k = num_items.
+inline int TopKStride(int k, int64_t num_items) {
+  return static_cast<int>(
+      std::max<int64_t>(1, std::min<int64_t>(k, num_items)));
+}
+
 /// Fixed-stride (k) batch of per-user recommendation lists. Users with
 /// fewer than k candidates (exclusion can consume the whole catalog) get
-/// counts[u] < k; padding slots hold item -1 / score 0.
+/// counts[u] < k; padding slots hold item -1 / score 0. TopKForUsers and
+/// TopKItems pack at TopKStride(requested k, catalogue size).
 struct TopKResult {
   int k = 0;
   std::vector<int64_t> items;   // [num_users * k]

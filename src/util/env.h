@@ -6,8 +6,8 @@
 // The environment variables that switch the runtime, read through one
 // strict grammar:
 //   - a switch (MSOPDS_SIMD, MSOPDS_ARENA) is exactly "0" or "1";
-//   - a count (MSOPDS_THREADS, MSOPDS_BENCH_THREADS) is a decimal integer
-//     in [1, max], read by ParseInt64.
+//   - a count (MSOPDS_THREADS) is a decimal integer in [1, max], read by
+//     ParseInt64.
 // An unset variable keeps the default. Any other value logs one warning
 // that names the variable and the accepted form, and keeps the default:
 // a typo never aborts a run and never reads as another setting ("4abc"

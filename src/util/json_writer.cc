@@ -1,5 +1,6 @@
 #include "util/json_writer.h"
 
+#include <charconv>
 #include <cmath>
 #include <limits>
 
@@ -124,7 +125,11 @@ JsonWriter& JsonWriter::Double(double value) {
   } else if (std::isinf(value)) {
     Append(value > 0 ? "\"inf\"" : "\"-inf\"");
   } else {
-    Append(StrFormat("%.10g", value));
+    // The shortest text that parses back to the same double.
+    char text[32];
+    const std::to_chars_result end =
+        std::to_chars(text, text + sizeof(text), value);
+    out_.append(text, end.ptr);
   }
   return *this;
 }

@@ -37,8 +37,10 @@ class JsonWriter {
 
   JsonWriter& String(const std::string& value);
   JsonWriter& Int(int64_t value);
-  /// Non-finite values are written as the strings "nan" / "inf" / "-inf"
-  /// (JSON has no such literals); ParseJsonDouble() reverses the mapping.
+  /// Finite values are written as the shortest text that parses back to
+  /// the same double. Non-finite values are written as the strings "nan"
+  /// / "inf" / "-inf" (JSON has no such literals); ParseJsonDouble()
+  /// reverses the mapping.
   JsonWriter& Double(double value);
   JsonWriter& Bool(bool value);
   JsonWriter& Null();

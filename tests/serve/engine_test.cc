@@ -45,6 +45,11 @@ void ExpectServedListsMatchOffline(RatingModel* model, const Dataset& world) {
   TopKOptions options;
   options.k = 7;
   const TopKResult offline = TopKItems(model, world, users, options);
+  // A k far beyond the catalogue packs one slot per item, not k.
+  TopKOptions huge = options;
+  huge.k = 1000000;
+  EXPECT_EQ(TopKItems(model, world, {0}, huge).items.size(),
+            static_cast<size_t>(world.num_items));
 
   ServingEngine engine;
   engine.Publish(ModelSnapshot::FromModel(model, world));

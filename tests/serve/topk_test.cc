@@ -147,6 +147,13 @@ TEST(TopKForUsersTest, EmptyHistoryAndExclusionDisabled) {
   const TopKResult without = TopKForUsers(*snapshot, {0}, keep);
   EXPECT_EQ(without.counts[0], 3);
   EXPECT_EQ(without.ItemsForUser(0)[0], 0);
+  // A k far beyond the catalogue packs one slot per item, not k.
+  keep.k = 1000000;
+  const TopKResult huge = TopKForUsers(*snapshot, {0}, keep);
+  EXPECT_EQ(huge.k, 3);
+  EXPECT_EQ(huge.items.size(), 3u);
+  EXPECT_EQ(huge.scores.size(), 3u);
+  EXPECT_EQ(huge.items, without.items);
 }
 
 TEST(TopKForUsersTest, DuplicateScoresOrderedByItemIdAcrossTiles) {

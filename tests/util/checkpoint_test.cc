@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -36,6 +38,16 @@ TEST(CellRecordTest, JsonRoundTrip) {
   EXPECT_EQ(parsed.value().repeats, 3);
   EXPECT_EQ(parsed.value().unhealthy_repeats, 1);
   EXPECT_TRUE(parsed.value().error.empty());
+
+  // Metrics that need 17 significant digits come back bit for bit.
+  const double rbar = 0.1 + 0.2;
+  const double hr = 1.0 / 3;
+  auto exact = ParseCellRecord(CellRecordToJson(MakeRecord("k", rbar, hr)));
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(std::bit_cast<uint64_t>(exact.value().mean_average_rating),
+            std::bit_cast<uint64_t>(rbar));
+  EXPECT_EQ(std::bit_cast<uint64_t>(exact.value().mean_hit_rate),
+            std::bit_cast<uint64_t>(hr));
 }
 
 TEST(CellRecordTest, FailureRecordRoundTrip) {

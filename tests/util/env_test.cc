@@ -87,9 +87,5 @@ TEST(EnvTest, ThreadsCountTakesAnIntegerInRange) {
   ExpectCountGrammar("MSOPDS_THREADS");
 }
 
-TEST(EnvTest, BenchThreadsCountTakesAnIntegerInRange) {
-  ExpectCountGrammar("MSOPDS_BENCH_THREADS");
-}
-
 }  // namespace
 }  // namespace msopds

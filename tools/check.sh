@@ -2,12 +2,10 @@
 # Repo-wide correctness gate. No stage reruns tests an earlier stage ran
 # in the same build and environment:
 # - a clean Release build that fails on any compiler warning;
-# - the full ctest suite at the default settings, at MSOPDS_THREADS=4,
-#   with the arena off and with the SIMD backends off (every label —
-#   simd, quant, scale, serve, serve_fault, memory, golden — runs inside
-#   each of these legs);
-# - the serving labels pinned to 1 kernel thread (`-L serve` is a regex,
-#   so it also matches `serve_fault`);
+# - the full ctest suite at MSOPDS_THREADS=1, at MSOPDS_THREADS=4, with
+#   the arena off and with the SIMD backends off (every label — simd,
+#   quant, scale, serve, serve_fault, memory, golden — runs inside each
+#   of these legs; RELEASE_LEGS lists them);
 # - a tiny Table III sweep whose printed table must be byte-identical
 #   at --workers=2 and --workers=0 (DESIGN.md §17);
 # - the end-to-end benchmark package's self-test;
@@ -124,42 +122,25 @@ build_release() {
   return "$rc"
 }
 run_stage "build-release" build_release
+# The release ctest legs: a stage name and the environment its full
+# suite runs in. The kernels' contracts are bit-identical results at any
+# thread count, with the arena's buffer recycling off (every allocation
+# straight to the heap) and on the scalar reference kernels (DESIGN.md
+# §14, and §15 for the quantized kernels), so every expectation must
+# hold unchanged in each leg. The first leg pins one kernel thread: left
+# unset, the pool takes the hardware count, which can be the next leg's.
+RELEASE_LEGS=(
+  "ctest-release MSOPDS_THREADS=1"
+  "ctest-release-mt4 MSOPDS_THREADS=4"
+  "ctest-release-arena-off MSOPDS_ARENA=0"
+  "ctest-release-simd-off MSOPDS_SIMD=0"
+)
 if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
   # Every ctest leg passes a job count: a bare -j runs one test at a time.
-  run_stage "ctest-release" ctest --test-dir build --output-on-failure \
-    -j"$(nproc)"
-  # Same suite on the multi-threaded kernels: the parallel runtime's
-  # contract is bit-identical results, so every expectation must hold
-  # unchanged at MSOPDS_THREADS=4.
-  ctest_mt() {
-    MSOPDS_THREADS=4 ctest --test-dir build --output-on-failure -j"$(nproc)"
-  }
-  run_stage "ctest-release-mt4" ctest_mt
-  # Same suite with buffer recycling off: the arena's contract is
-  # bit-identical results, so the whole tier must also pass with every
-  # allocation going straight to the heap.
-  ctest_arena_off() {
-    MSOPDS_ARENA=0 ctest --test-dir build --output-on-failure -j"$(nproc)"
-  }
-  run_stage "ctest-release-arena-off" ctest_arena_off
-  # Same suite with the vector backends forced off at runtime: the
-  # scalar/SIMD bit-exactness contract (DESIGN.md §14) and the quantized
-  # kernels' per-precision bit-identity (DESIGN.md §15) mean every
-  # expectation must hold unchanged on the scalar reference kernels.
-  ctest_simd_off() {
-    MSOPDS_SIMD=0 ctest --test-dir build --output-on-failure -j"$(nproc)"
-  }
-  run_stage "ctest-release-simd-off" ctest_simd_off
-  # Serving and overload/chaos suites pinned to one kernel thread (the
-  # 4-thread run is part of ctest-release-mt4): the engine's lists must
-  # be bit-identical to the offline reference, and the chaos replay must
-  # give identical shed/reject/degraded traces, at any pool size.
-  # `-L serve` is a regex, so it matches the serve_fault label too.
-  ctest_serve_t1() {
-    MSOPDS_THREADS=1 ctest --test-dir build -L serve --output-on-failure \
-      -j"$(nproc)"
-  }
-  run_stage "ctest-serve-t1" ctest_serve_t1
+  for leg in "${RELEASE_LEGS[@]}"; do
+    run_stage "${leg%% *}" env "${leg#* }" ctest --test-dir build \
+      --output-on-failure -j"$(nproc)"
+  done
   # Sweep smoke: the tiny Table III sweep of the scale suite, run
   # outside the test harness in one process and across two worker
   # processes (dispatch, segment merge, clean shutdown); the two printed
@@ -179,11 +160,9 @@ if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
   }
   run_stage "sweep-smoke" sweep_smoke
 else
-  skip_stage "ctest-release" "build failed"
-  skip_stage "ctest-release-mt4" "build failed"
-  skip_stage "ctest-release-arena-off" "build failed"
-  skip_stage "ctest-release-simd-off" "build failed"
-  skip_stage "ctest-serve-t1" "build failed"
+  for leg in "${RELEASE_LEGS[@]}"; do
+    skip_stage "${leg%% *}" "build failed"
+  done
   skip_stage "sweep-smoke" "build failed"
 fi
 
